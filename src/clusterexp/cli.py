@@ -45,7 +45,8 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
+def _emit(args, payload: dict, rows: list[dict] | None = None, columns: tuple = ()) -> None:
+    """``columns`` heads the csv form when ``rows`` is empty."""
     payload = {"schema": SCHEMA, "version": __version__, **payload}
     out = sys.stdout
     close = False
@@ -59,7 +60,7 @@ def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
         elif args.format == "csv":
             if rows is None:
                 raise SystemExit("this subcommand has no tabular form; use --format json")
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(out, fieldnames=list(rows[0]) if rows else list(columns))
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: (_fmt_float(v) if isinstance(v, float) else v)
@@ -410,7 +411,7 @@ def _cmd_verify(args) -> int:
     ok = all(r.ok for r in results)
     payload = {"command": "verify", "suite": args.suite, "max_n": args.max_n,
                "trials": args.trials, "seed": args.seed, "ok": ok, "rows": rows}
-    _emit(args, payload, rows=rows)
+    _emit(args, payload, rows=rows, columns=("check", "ok", "detail"))
     return 0 if ok else 1
 
 
@@ -531,7 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # invalid input or a refused cap is a usage error
+        print(f"clusterexp {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

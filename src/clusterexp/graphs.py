@@ -14,17 +14,17 @@ Vertices are 0-indexed and rooted trees are rooted at vertex 0.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 GRAPH_CAP = 7       # enumeration over 2^(n(n-1)/2) bitmasks; n=7 is 2^21
 GRAPH_CAP_HARD = 8  # opt-in ceiling (2^28 graphs)
 TREE_CAP = 9        # n^(n-2) trees; n=9 is 4782969
-CACHE_ENV = "CLUSTEREXP_CACHE"
+MASK_CHUNK = 1 << 20  # masks per vectorised step; bounds the working memory for every n
 
 
 class CapExceededError(ValueError):
@@ -53,7 +53,10 @@ def pair_index_map(n: int) -> dict[tuple[int, int], int]:
 def pair_index(n: int, i: int, j: int) -> int:
     if i > j:
         i, j = j, i
-    return pair_index_map(n)[(i, j)]
+    try:
+        return pair_index_map(n)[(i, j)]
+    except KeyError:
+        raise ValueError(f"({i}, {j}) is not a pair of distinct vertices of [{n}]") from None
 
 
 def num_pairs(n: int) -> int:
@@ -187,35 +190,54 @@ def enumerate_graphs(
         yield LabeledGraph(n, mask)
 
 
-def _cache_path(name: str) -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, name)
-
-
 @lru_cache(maxsize=None)
-def connected_masks(n: int, cap: int = GRAPH_CAP) -> tuple[int, ...]:
-    """Bitmasks of all connected graphs on [n], ascending."""
-    if n == 1:
-        return (0,)
+def _connected_table(n: int) -> np.ndarray:
+    """Bitset BFS from vertex 0 over every mask at once, a chunk at a time.
+
+    Adjacency rows are uint8 bitsets, which hold n <= GRAPH_CAP_HARD = 8.
+    """
+    pairs = vertex_pairs(n)
+    total = 1 << len(pairs)
+    full = (1 << n) - 1
+    # sized for every mask; pages past the final fill are never touched
+    table = np.empty(total, dtype=np.int64)
+    filled = 0
+    for start in range(0, total, MASK_CHUNK):
+        masks = np.arange(start, min(start + MASK_CHUNK, total), dtype=np.int64)
+        masks = masks[np.bitwise_count(masks) >= n - 1]
+        adj = np.zeros((n, masks.size), dtype=np.uint8)
+        for k, (i, j) in enumerate(pairs):
+            bit = (masks >> k & 1).astype(np.uint8)
+            adj[i] |= bit << j
+            adj[j] |= bit << i
+        seen = np.ones(masks.size, dtype=np.uint8)
+        while True:
+            grown = seen.copy()
+            for v in range(n):
+                grown |= adj[v] & -(grown >> v & 1)
+            if np.array_equal(grown, seen):
+                break
+            seen = grown
+        hit = masks[seen == full]
+        table[filled:filled + hit.size] = hit
+        filled += hit.size
+    table.resize(filled, refcheck=False)
+    table.flags.writeable = False
+    return table
+
+
+def connected_masks(n: int, cap: int = GRAPH_CAP) -> np.ndarray:
+    """Bitmasks of all connected graphs on [n]: a read-only, ascending int64
+    array, built once per n whatever ``cap`` is passed."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     _check_cap(n, cap, GRAPH_CAP_HARD, "graph")
-    path = _cache_path(f"connected_masks_{n}.pkl")
-    if path and os.path.exists(path):
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    out = []
-    for mask in range(1 << num_pairs(n)):
-        if mask.bit_count() < n - 1:
-            continue
-        if _mask_connected(n, mask):
-            out.append(mask)
-    masks = tuple(out)
-    if path:
-        with open(path, "wb") as fh:
-            pickle.dump(masks, fh)
-    return masks
+    return _connected_table(n)
+
+
+# the cache is keyed by n alone; its hits and misses read under the public name
+connected_masks.cache_info = _connected_table.cache_info
+connected_masks.cache_clear = _connected_table.cache_clear
 
 
 def count_connected(n: int, cap: int = GRAPH_CAP) -> int:
@@ -232,10 +254,9 @@ def alternating_connected_sum(n: int, cap: int = GRAPH_CAP) -> int:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    total = 0
-    for mask in connected_masks(n, cap):
-        total += -1 if mask.bit_count() & 1 else 1
-    return total
+    masks = connected_masks(n, cap)
+    odd = int(np.count_nonzero(np.bitwise_count(masks) & 1))
+    return len(masks) - 2 * odd
 
 
 class RootedTree:
@@ -529,13 +550,14 @@ def verify_partition_scheme(
             if sub == 0:
                 break
             sub = (sub - 1) & extra
-    for mask in connected_masks(n, cap):
-        if not marks[mask]:
-            return PartitionSchemeReport(
-                False, n, reason="a connected graph is uncovered",
-                counterexample=LabeledGraph(n, mask), interval_count=count,
-            )
-    if count != count_connected(n, cap):
+    table = connected_masks(n, cap)
+    uncovered = np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)[table] == 0)
+    if uncovered.size:
+        return PartitionSchemeReport(
+            False, n, reason="a connected graph is uncovered",
+            counterexample=LabeledGraph(n, int(table[uncovered[0]])), interval_count=count,
+        )
+    if count != len(table):
         return PartitionSchemeReport(
             False, n, reason="interval sizes do not add up to the connected count",
             interval_count=count,

@@ -18,15 +18,21 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .graphs import (
     GRAPH_CAP,
+    MASK_CHUNK,
     EdgeOrder,
     connected_masks,
     enumerate_trees,
     kruskal_closure,
     num_pairs,
+    pair_index,
+    pair_index_map,
     penrose_closure,
     vertex_pairs,
 )
@@ -56,9 +62,7 @@ class InteractionMatrix:
             for (i, j), v in values.items():
                 if i == j:
                     raise ValueError("diagonal entries are not part of the matrix")
-                if i > j:
-                    i, j = j, i
-                vals[_pidx(n, i, j)] = v
+                vals[pair_index(n, i, j)] = v
         else:
             vals = list(values)
             if len(vals) != m:
@@ -75,9 +79,7 @@ class InteractionMatrix:
     def value(self, i: int, j: int) -> float:
         if i == j:
             raise ValueError("diagonal entries are not part of the matrix")
-        if i > j:
-            i, j = j, i
-        return self._values[_pidx(self.n, i, j)]
+        return self._values[pair_index(self.n, i, j)]
 
     @property
     def pair_values(self) -> tuple[float, ...]:
@@ -134,44 +136,30 @@ class InteractionMatrix:
         return f"InteractionMatrix(n={self.n})"
 
 
-@lru_cache(maxsize=None)
-def _pidx_map(n: int):
-    return {p: k for k, p in enumerate(vertex_pairs(n))}
-
-
-def _pidx(n: int, i: int, j: int) -> int:
-    return _pidx_map(n)[(i, j)]
-
-
-def _edge_products(weights: Sequence, m: int) -> list:
-    """prod of weights over the set bits, for every bitmask below 2^m."""
-    prods = [None] * (1 << m)
-    prods[0] = 1 if all(isinstance(w, int) for w in weights) else 1.0
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        prods[mask] = prods[mask ^ low] * weights[low.bit_length() - 1]
-    return prods
-
-
 def ursell_graph_sum(V: InteractionMatrix, cap: int = GRAPH_CAP):
     """Brute-force route: sum over all connected graphs on [n].
 
-    Returns 1 for n = 1.  Exact integer for hard-core matrices.
+    The edge product of every mask is tabulated by doubling over the pairs
+    and gathered at the connected masks.  Returns 1 for n = 1.  Hard-core
+    matrices give an exact int; others the exactly rounded float sum.
     """
-    n = V.n
-    if n == 1:
-        return 1
+    masks = connected_masks(V.n, cap)
+    hard = V.is_hard_core
     w = V.mayer_weights()
-    prods = _edge_products(w, num_pairs(n))
-    total = 0 if V.is_hard_core else 0.0
-    for mask in connected_masks(n, cap):
-        total += prods[mask]
-    return total
+    prods = np.empty(1 << len(w), dtype=np.int8 if hard else np.float64)
+    prods[0] = 1
+    for k, wk in enumerate(w):
+        np.multiply(prods[:1 << k], wk, out=prods[1 << k:2 << k])
+    chunks = (prods[masks[lo:lo + MASK_CHUNK]] for lo in range(0, len(masks), MASK_CHUNK))
+    if hard:
+        return sum(int(c.sum(dtype=np.int64)) for c in chunks)
+    return math.fsum(chain.from_iterable(c.tolist() for c in chunks))
 
 
 def _gibbs_subsets(V: InteractionMatrix):
     """e^(-U(S)) for every vertex subset S, where U sums V_ij inside S."""
     n = V.n
+    pidx = pair_index_map(n)
     hard = V.is_hard_core
     gibbs_pair = [(0 if v == INF else 1) if hard else (0.0 if v == INF else math.exp(-v))
                   for v in V.pair_values]
@@ -186,7 +174,7 @@ def _gibbs_subsets(V: InteractionMatrix):
         while r and acc:
             lo = r & -r
             j = lo.bit_length() - 1
-            acc = acc * gibbs_pair[_pidx(n, t, j)]
+            acc = acc * gibbs_pair[pidx[(t, j)]]
             r ^= lo
         out[mask] = acc if rest else (1 if hard else 1.0)
     return out
@@ -405,8 +393,8 @@ def tree_family_counts(incompatible, n_vertices: int, root: int = 0) -> dict[str
         depth, parent = tree.depth, tree.parent
         weak = True
         penrose = True
-        for i, j in vertex_pairs(n):
-            if tree.mask >> _pidx(n, i, j) & 1:
+        for k, (i, j) in enumerate(vertex_pairs(n)):
+            if tree.mask >> k & 1:
                 continue
             di, dj = depth[i], depth[j]
             if di == dj:

@@ -140,6 +140,21 @@ class TestHarness:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["graphs", "count", "--n", "9"], "cap is 7"),
+        (["ursell", "--matrix", "2; 0 1 nan"], "NaN"),
+        (["ursell", "--matrix", "2; 0 5 1.0"], "not a pair"),
+    ])
+    def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
+    def test_empty_csv_is_header_only(self, capsys):
+        assert main(["verify", "--max-n", "1", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["check,ok,detail"]
+
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "artifact.json"
         code = main(["graphs", "count", "--n", "3", "--format", "json",

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,13 +62,29 @@ class TestConnectivity:
         assert G.count_connected(3) == 4
         assert G.count_connected(4) == 38
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_count_matches_recurrence(self, n):
         assert G.count_connected(n) == connected_count_recurrence(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_count_lower_bound(self, n):
         assert G.count_connected(n) >= 2 ** ((n - 1) * (n - 2) // 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_table_matches_scalar_filter(self, n):
+        table = G.connected_masks(n)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        scalar = [m for m in range(1 << G.num_pairs(n)) if G._mask_connected(n, m)]
+        assert table.tolist() == scalar
+
+    def test_one_cache_entry_per_n(self):
+        G.connected_masks.cache_clear()
+        G.connected_masks(5)
+        G.connected_masks(5, 5)
+        G.connected_masks(5, cap=G.GRAPH_CAP)
+        G.count_connected(5, cap=G.GRAPH_CAP_HARD)
+        G.alternating_connected_sum(5)
+        assert G.connected_masks.cache_info().misses == 1
 
 
 class TestTrees:
@@ -183,7 +200,7 @@ class TestKruskal:
         n = 5
         w = {p: rng.random() for p in G.vertex_pairs(n)}
         order = G.EdgeOrder.from_weights(n, w)
-        for mask in G.connected_masks(n):
+        for mask in G.connected_masks(n).tolist():
             g = G.LabeledGraph(n, mask)
             t = G.kruskal_tree(g, order)
             closed = G.kruskal_closure(t, order)

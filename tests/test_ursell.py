@@ -55,6 +55,18 @@ class TestSingleValues:
         assert ursell_graph_sum(V) == 0.0
         assert ursell_partition_formula(V) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_graph_sum_returns_python_numbers(self, n):
+        rng = random.Random(70 + n)
+        V = random_hardcore(n, rng)
+        phi = ursell_graph_sum(V)
+        assert type(phi) is int and phi == ursell_partition_formula(V)
+        if n > 1:
+            V = random_matrix(n, rng)
+            phi = ursell_graph_sum(V)
+            assert type(phi) is float
+            assert phi == pytest.approx(ursell_partition_formula(V), rel=1e-10)
+
 
 class TestThreeWayAgreement:
     @pytest.mark.parametrize("n", [3, 4, 5])
