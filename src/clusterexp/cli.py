@@ -47,6 +47,8 @@ def _jsonable(obj):
 
 def _emit(args, payload: dict, rows: list[dict] | None = None, columns: tuple = ()) -> None:
     """``columns`` heads the csv form when ``rows`` is empty."""
+    if args.format == "csv" and rows is None:
+        raise ValueError("this subcommand has no tabular form; use --format json")
     payload = {"schema": SCHEMA, "version": __version__, **payload}
     out = sys.stdout
     close = False
@@ -58,8 +60,6 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: tuple = 
             json.dump(_jsonable(payload), out, indent=2)
             out.write("\n")
         elif args.format == "csv":
-            if rows is None:
-                raise SystemExit("this subcommand has no tabular form; use --format json")
             writer = csv.DictWriter(out, fieldnames=list(rows[0]) if rows else list(columns))
             writer.writeheader()
             for row in rows:
@@ -111,8 +111,6 @@ def _spec_from_args(args) -> potentials.PairPotentialSpec:
                                                           p.get("sigma", 1.0),
                                                           dimension=args.dimension),
     }
-    if fam not in builders:
-        raise SystemExit(f"unknown family {fam!r}")
     return builders[fam]()
 
 
@@ -158,7 +156,7 @@ def _cmd_ursell(args) -> int:
     elif args.matrix:
         V = ursell.InteractionMatrix.from_text(args.matrix)
     else:
-        raise SystemExit("need --matrix or --matrix-file")
+        raise ValueError("need --matrix or --matrix-file")
     a = ursell.ursell_graph_sum(V)
     b = ursell.ursell_partition_formula(V)
     c = ursell.ursell_tree_identity(V, "penrose")
@@ -275,7 +273,7 @@ def _build_model(name: str, rho: float) -> tuple[polymer.PolymerSystem, object]:
         delta = int(name.split(":", 1)[1])
         sys_ = polymer.delta_regular_system(delta, rho)
         return sys_, "c"
-    raise SystemExit(f"unknown model {name!r} (domino, triangular, delta:<k>)")
+    raise ValueError(f"unknown model {name!r} (domino, triangular, delta:<k>)")
 
 
 def _cmd_polymer(args) -> int:
@@ -410,7 +408,8 @@ def _cmd_verify(args) -> int:
     rows = [{"check": r.name, "ok": r.ok, "detail": r.detail} for r in results]
     ok = all(r.ok for r in results)
     payload = {"command": "verify", "suite": args.suite, "max_n": args.max_n,
-               "trials": args.trials, "seed": args.seed, "ok": ok, "rows": rows}
+               "trials": args.trials, "seed": args.seed, "jobs": args.jobs, "ok": ok,
+               "rows": rows}
     _emit(args, payload, rows=rows, columns=("check", "ok", "detail"))
     return 0 if ok else 1
 

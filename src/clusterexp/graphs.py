@@ -63,6 +63,16 @@ def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Edge set over [n] as a bitmask over the lexicographic pair order."""
@@ -89,13 +99,7 @@ class LabeledGraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         ps = vertex_pairs(self.n)
-        m = self.mask
-        out = []
-        while m:
-            low = m & -m
-            out.append(ps[low.bit_length() - 1])
-            m ^= low
-        return tuple(out)
+        return tuple([ps[k] for k in mask_bits(self.mask)])
 
     @property
     def edge_count(self) -> int:
@@ -133,13 +137,10 @@ def parse_graph(text: str) -> LabeledGraph:
 def _adjacency_bitsets(n: int, mask: int) -> list[int]:
     adj = [0] * n
     ps = vertex_pairs(n)
-    m = mask
-    while m:
-        low = m & -m
-        i, j = ps[low.bit_length() - 1]
+    for k in mask_bits(mask):
+        i, j = ps[k]
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-        m ^= low
     return adj
 
 

@@ -1,12 +1,14 @@
 """2D Ising model at zero field: exact sums and both polymer expansions.
 
-Everything is desk scale and cross-checked three ways.  The partition
-function on an L x L box is summed over all 2^(L^2) spin configurations
-(chunked bit arithmetic), reproduced at high temperature from the even
-subgraphs of the box (spanned by the plaquette cycle basis, 2^((L-1)^2)
-elements) and at low temperature from the contour representation under +
-boundary (every configuration maps to a family of dual-lattice contours and
-back).  The duality map phi(beta) = -ln(tanh beta)/2 exchanges the two
+Everything is desk scale and cross-checked three ways.  One pass over all
+2^(L^2) spin configurations of the L x L box per boundary gives an exact
+integer density of states; at any beta the partition function and the
+magnetization are exactly rounded sums over its bins, so the spin-flip
+symmetries hold bit for bit.  The partition function is reproduced at high
+temperature from the even subgraphs of the box (spanned by the plaquette
+cycle basis, 2^((L-1)^2) elements) and at low temperature from the contour
+representation under + boundary (every configuration maps to a family of
+dual-lattice contours and back).  The duality map phi(beta) = -ln(tanh beta)/2 exchanges the two
 activities on the same animal family; its fixed point is the critical
 coupling ln(1 + sqrt 2)/2.
 
@@ -82,11 +84,30 @@ def _opposite_bond_counts(configs: np.ndarray, L: int, boundary: str) -> np.ndar
     return opp
 
 
-def _energies(configs: np.ndarray, L: int, beta: float, J: float, boundary: str) -> np.ndarray:
-    """-beta H per configuration: aligned minus opposite pairs, times beta J."""
-    opp = _opposite_bond_counts(configs, L, boundary)
+@lru_cache(maxsize=None)
+def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Exact histograms over all 2^(L^2) configurations by the number k of
+    opposite-spin pairs: N[k] configurations, and M[x, k] the sum of the spin
+    sigma_x over them.  Read-only int64; one sweep per (L, boundary)."""
     n_pairs = 2 * L * (L - 1) + (boundary_pair_count(L) if boundary != "free" else 0)
-    return beta * J * (n_pairs - 2 * opp)
+    bins = n_pairs + 1
+    N = np.zeros(bins, dtype=np.int64)
+    down = np.zeros((L * L, bins), dtype=np.int64)  # configurations with sigma_x = -1
+    for configs in _config_chunks(L):
+        opp = _opposite_bond_counts(configs, L, boundary)
+        N += np.bincount(opp, minlength=bins)
+        for x in range(L * L):
+            bit = (configs >> np.uint64(x)).astype(np.int64) & 1
+            down[x] += np.bincount(opp[bit == 1], minlength=bins)
+    M = N - 2 * down
+    N.flags.writeable = False
+    M.flags.writeable = False
+    return N, M
+
+
+def _bin_weights(N: np.ndarray, beta: float, J: float) -> np.ndarray:
+    """e^(-beta H) per bin k: aligned minus opposite pairs, times beta J."""
+    return np.exp(beta * J * (N.size - 1 - 2 * np.arange(N.size)))
 
 
 def brute_force_Z(L: int, beta: float, J: float = 1.0, boundary: str = "free",
@@ -94,12 +115,10 @@ def brute_force_Z(L: int, beta: float, J: float = 1.0, boundary: str = "free",
     """Exact partition function by summation over all 2^(L^2) configurations."""
     if L > min(cap, BRUTE_CAP_HARD):
         raise ValueError(f"brute force capped at L={min(cap, BRUTE_CAP_HARD)}")
-    # exactly-rounded accumulation: the result is independent of the
-    # enumeration order, so symmetric boundaries match bit for bit
-    parts = []
-    for configs in _config_chunks(L):
-        parts.append(np.exp(_energies(configs, L, beta, J, boundary)))
-    return math.fsum(x for part in parts for x in part.tolist())
+    N, _ = _density_of_states(L, boundary)
+    # exactly-rounded accumulation over exact integer counts: the plus and
+    # minus boundaries share N, so their sums match bit for bit
+    return math.fsum((N * _bin_weights(N, beta, J)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +256,17 @@ class ContourReport:
 def low_T_contour_Z(L: int, beta: float, J: float = 1.0, cap: int = BRUTE_CAP) -> ContourReport:
     """Contour partition function under + boundary.
 
-    Extracts the opposite-pair count B- of every configuration, verifies the
-    energy identity H = -J Btilde + 2 J B- with Btilde = 2L(L+1) per
-    configuration, and sums e^(-2 beta J B-); the reconstruction
+    Sums e^(-2 beta J B-) over the opposite-pair counts B- of the + boundary
+    density of states, verifies the energy identity H = -J Btilde + 2 J B-
+    with Btilde = 2L(L+1) on the geometric contours of the configurations
+    (all for L <= 3, sampled beyond); the reconstruction
     e^(beta J Btilde) Xi equals the brute-force + boundary sum.
     """
     if L > min(cap, BRUTE_CAP_HARD):
         raise ValueError(f"contour extraction capped at L={min(cap, BRUTE_CAP_HARD)}")
     btilde = 2 * L * (L + 1)
-    xi = 0.0
-    for configs in _config_chunks(L):
-        opp = _opposite_bond_counts(configs, L, "plus")
-        xi += float(np.exp(-2.0 * beta * J * opp.astype(float)).sum())
+    N, _ = _density_of_states(L, "plus")
+    xi = math.fsum((N * np.exp(-2.0 * beta * J * np.arange(N.size))).tolist())
     z = math.exp(beta * J * btilde) * xi
     # tie the geometric contour extraction to the Hamiltonian: per spin
     # configuration, the direct pair-sum energy must equal
@@ -373,37 +391,18 @@ def magnetization(L: int, beta: float, J: float = 1.0, boundary: str = "free",
     """Exact per-site expectations by enumeration, with the two rigorous
     bound checks attached.
 
-    For L <= 4 the sums are accumulated with exact rounding (fsum), so the
-    symmetries hold exactly: free boundary gives 0.0 and the minus boundary
-    gives the exact negation of the plus boundary.
+    The spin sums are exact integers per bin and are accumulated with exact
+    rounding (fsum), so the symmetries hold exactly at every L: free boundary
+    gives 0.0 and the minus boundary gives the exact negation of the plus
+    boundary.
     """
     if L > min(cap, BRUTE_CAP_HARD):
         raise ValueError(f"magnetization capped at L={min(cap, BRUTE_CAP_HARD)}")
     n = L * L
-    exact = L <= 4
-    if exact:
-        weights = []
-        spins_bits = []
-        for configs in _config_chunks(L):
-            weights.append(np.exp(_energies(configs, L, beta, J, boundary)))
-            spins_bits.append(configs)
-        w = np.concatenate(weights)
-        cfgs = np.concatenate(spins_bits)
-        z = math.fsum(w.tolist())
-        per_site = np.empty(n)
-        for x in range(n):
-            sigma = 1.0 - 2.0 * ((cfgs >> np.uint64(x)).astype(np.int64) & 1)
-            per_site[x] = math.fsum((sigma * w).tolist()) / z
-    else:
-        z = 0.0
-        sums = np.zeros(n)
-        for configs in _config_chunks(L):
-            w = np.exp(_energies(configs, L, beta, J, boundary))
-            z += float(w.sum())
-            for x in range(n):
-                sigma = 1.0 - 2.0 * ((configs >> np.uint64(x)).astype(np.int64) & 1)
-                sums[x] += float((sigma * w).sum())
-        per_site = sums / z
+    N, M = _density_of_states(L, boundary)
+    w = _bin_weights(N, beta, J)
+    z = math.fsum((N * w).tolist())
+    per_site = np.array([math.fsum((m * w).tolist()) for m in M]) / z
     mean = math.fsum(per_site.tolist()) / n
 
     low_bound = low_ok = None

@@ -60,13 +60,6 @@ class PolymerSystem:
         """All polymers incompatible with g (g itself included when reflexive)."""
         return self._nbrs[g]
 
-    def with_activities(self, activities: Mapping[Polymer, complex]) -> "PolymerSystem":
-        pairs = [(a, b) for a in self.polymers for b in self._nbrs[a] if not self.reflexive or a != b]
-        sys2 = PolymerSystem(dict(activities), [], reflexive=self.reflexive)
-        sys2._nbrs = self._nbrs
-        sys2.polymers = self.polymers
-        return sys2
-
     def __len__(self):
         return len(self.polymers)
 

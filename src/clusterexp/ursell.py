@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .graphs import (
     connected_masks,
     enumerate_trees,
     kruskal_closure,
+    mask_bits,
     num_pairs,
     pair_index,
     pair_index_map,
@@ -99,12 +100,7 @@ class InteractionMatrix:
     def subset_energy(self, subset_mask: int) -> float:
         """Sum of V_ij over the pairs inside the vertex subset."""
         total = 0.0
-        verts = []
-        m = subset_mask
-        while m:
-            low = m & -m
-            verts.append(low.bit_length() - 1)
-            m ^= low
+        verts = mask_bits(subset_mask)
         for a in range(len(verts)):
             for b in range(a + 1, len(verts)):
                 v = self.value(verts[a], verts[b])
@@ -229,18 +225,9 @@ def _penrose_tree_table(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     table = []
     for tree in enumerate_trees(n):
         closed = penrose_closure(tree)
-        tree_pairs = _mask_bits(tree.mask)
+        tree_pairs = mask_bits(tree.mask)
         table.append((tree.mask, closed.mask ^ tree.mask, tree_pairs))
     return tuple(table)
-
-
-def _mask_bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def ursell_tree_identity(V: InteractionMatrix, scheme="penrose"):
@@ -274,7 +261,7 @@ def ursell_tree_identity(V: InteractionMatrix, scheme="penrose"):
     for tree in enumerate_trees(n):
         closed = closure(tree)
         extra_mask = closed.mask ^ tree.mask
-        total += _tree_term(vals, w, _mask_bits(tree.mask), extra_mask, hard)
+        total += _tree_term(vals, w, mask_bits(tree.mask), extra_mask, hard)
     return total
 
 
@@ -311,18 +298,11 @@ def check_stability_vector(V: InteractionMatrix, B: Sequence[float], tol: float 
         u = V.subset_energy(mask)
         if u == INF:
             continue
-        bound = -sum(B[v] for v in _mask_bits_vertices(mask))
+        bound = -sum(B[v] for v in mask_bits(mask))
         if u < bound - tol:
             raise StabilityCertificateError(
-                f"subset {sorted(_mask_bits_vertices(mask))} has energy {u} < {bound}"
+                f"subset {sorted(mask_bits(mask))} has energy {u} < {bound}"
             )
-
-
-def _mask_bits_vertices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def tree_graph_bound(V: InteractionMatrix, B: Sequence[float]) -> float:
@@ -339,7 +319,7 @@ def tree_graph_bound(V: InteractionMatrix, B: Sequence[float]) -> float:
     total = 0.0
     for tree in enumerate_trees(n):
         prod = 1.0
-        for k in _mask_bits(tree.mask):
+        for k in mask_bits(tree.mask):
             prod *= factors[k]
             if prod == 0.0:
                 break
@@ -383,6 +363,7 @@ def tree_family_counts(incompatible, n_vertices: int, root: int = 0) -> dict[str
     def inc(a: int, b: int) -> bool:
         return _iter_incompatible(incompatible, relabel(a), relabel(b))
 
+    pairs = vertex_pairs(n)
     counts = {"penrose": 0, "weak": 0, "dobrushin": 0, "kp": 0}
     for tree in enumerate_trees(n):
         ok_edges = all(inc(i, j) for i, j in tree.edges)
@@ -390,26 +371,10 @@ def tree_family_counts(incompatible, n_vertices: int, root: int = 0) -> dict[str
             continue
         counts["kp"] += 1
         counts["dobrushin"] += 1  # distinct vertices are distinct polymers
-        depth, parent = tree.depth, tree.parent
-        weak = True
-        penrose = True
-        for k, (i, j) in enumerate(vertex_pairs(n)):
-            if tree.mask >> k & 1:
-                continue
-            di, dj = depth[i], depth[j]
-            if di == dj:
-                if parent[i] == parent[j] and inc(i, j):
-                    weak = False
-                if inc(i, j):
-                    penrose = False
-            elif di == dj + 1 and j > parent[i] and inc(i, j):
-                penrose = False
-            elif dj == di + 1 and i > parent[j] and inc(i, j):
-                penrose = False
-            if not weak and not penrose:
-                break
-        counts["weak"] += weak
-        counts["penrose"] += penrose
+        counts["weak"] += not any(inc(i, j) for kids in tree.children
+                                  for i, j in combinations(kids, 2))
+        added = penrose_closure(tree).mask ^ tree.mask
+        counts["penrose"] += not any(inc(*pairs[k]) for k in mask_bits(added))
     return counts
 
 
@@ -437,12 +402,8 @@ def penrose_exponent_minimum(V: InteractionMatrix) -> float:
     best = INF
     for _, extra_mask, _ in _penrose_tree_table(n):
         s = 0.0
-        m = extra_mask
-        while m:
-            low = m & -m
-            v = vals[low.bit_length() - 1]
-            if v != INF:
-                s += v
-            m ^= low
+        for k in mask_bits(extra_mask):
+            if vals[k] != INF:
+                s += vals[k]
         best = min(best, s)
     return best

@@ -37,48 +37,70 @@ def _random_hardcore(n: int, rng: random.Random) -> U.InteractionMatrix:
     return U.InteractionMatrix(n, vals)
 
 
+def _identity_trial(args: tuple[int, int, int, int, int]) -> tuple:
+    """Trial ``t`` at size ``n``: (relative spread of the three routes,
+    hard-core bit-exactness, tree-bound dominance), each None where the trial
+    index is beyond that check's count.  The matrices come from a generator
+    seeded by (seed, n, t) alone, so the result does not depend on how the
+    trials are split across workers."""
+    n, seed, t, trials, bound_trials = args
+    rng = random.Random(f"{seed}:{n}:{t}")
+    V, H = _random_matrix(n, rng), _random_hardcore(n, rng)
+    vals = {p: rng.uniform(-0.4, 2.0) for p in G.vertex_pairs(n)}
+    spread = exact = bound_ok = None
+    if t < trials:
+        a = U.ursell_graph_sum(V)
+        b = U.ursell_partition_formula(V)
+        c = U.ursell_tree_identity(V, "penrose")
+        d = U.ursell_tree_identity(V, "kruskal")
+        scale = max(abs(a), 1e-30)
+        spread = max(abs(a - b) / scale, abs(a - c) / scale, abs(a - d) / scale)
+        a = U.ursell_graph_sum(H)
+        exact = (a == U.ursell_partition_formula(H) == U.ursell_tree_identity(H)
+                 == U.ursell_tree_identity(H, "kruskal"))
+    if t < bound_trials:
+        W = U.InteractionMatrix(n, vals)
+        b_vec = [max(0.0, -min(vals.values())) * n] * n  # crude but valid certificate
+        try:
+            bound = U.tree_graph_bound(W, b_vec)
+        except U.StabilityCertificateError:
+            pass
+        else:
+            bound_ok = abs(U.ursell_graph_sum(W)) <= bound * (1 + 1e-12)
+    return spread, exact, bound_ok
+
+
 def identity_suite(max_n: int = 5, trials: int = 40, seed: int = 0,
-                   rel_tol: float = 1e-10) -> list[CheckResult]:
+                   rel_tol: float = 1e-10, jobs: int = 1) -> list[CheckResult]:
     """Agreement of the three Ursell routes on random matrices, exact in the
-    hard-core case, plus the tree-bound dominance property."""
-    rng = random.Random(seed)
+    hard-core case, plus the tree-bound dominance property.  ``jobs`` > 1
+    spreads the trials over worker processes with identical results."""
+    bound_trials = max(trials // 4, 5)
+    span = max(trials, bound_trials)
+    tasks = [(n, seed, t, trials, bound_trials) for n in range(2, max_n + 1) for t in range(span)]
+    if jobs <= 1:
+        outcomes = list(map(_identity_trial, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_identity_trial, tasks,
+                                     chunksize=max(1, len(tasks) // (4 * jobs))))
     results = []
     for n in range(2, max_n + 1):
-        worst = 0.0
-        for _ in range(trials):
-            V = _random_matrix(n, rng)
-            a = U.ursell_graph_sum(V)
-            b = U.ursell_partition_formula(V)
-            c = U.ursell_tree_identity(V, "penrose")
-            d = U.ursell_tree_identity(V, "kruskal")
-            scale = max(abs(a), 1e-30)
-            worst = max(worst, abs(a - b) / scale, abs(a - c) / scale, abs(a - d) / scale)
+        spreads, exact, bounds = ([v for v in column if v is not None]
+                                  for column in zip(*outcomes[(n - 2) * span:(n - 1) * span]))
+        worst = max(spreads, default=0.0)
         results.append(CheckResult(
             f"ursell-identities-n{n}", worst <= rel_tol,
-            f"worst relative spread {worst:.3e} over {trials} random matrices",
+            f"worst relative spread {worst:.3e} over {len(spreads)} random matrices",
         ))
-        exact_ok = True
-        for _ in range(trials):
-            V = _random_hardcore(n, rng)
-            a = U.ursell_graph_sum(V)
-            if not (a == U.ursell_partition_formula(V) == U.ursell_tree_identity(V)
-                    == U.ursell_tree_identity(V, "kruskal")):
-                exact_ok = False
         results.append(CheckResult(
-            f"ursell-hardcore-exact-n{n}", exact_ok, f"{trials} random 0/inf matrices, bit-exact",
+            f"ursell-hardcore-exact-n{n}", all(exact),
+            f"{len(exact)} random 0/inf matrices, bit-exact",
         ))
-        bound_ok = True
-        for _ in range(max(trials // 4, 5)):
-            vals = {p: rng.uniform(-0.4, 2.0) for p in G.vertex_pairs(n)}
-            V = U.InteractionMatrix(n, vals)
-            b_vec = [max(0.0, -min(vals.values())) * n] * n  # crude but valid certificate
-            try:
-                bound = U.tree_graph_bound(V, b_vec)
-            except U.StabilityCertificateError:
-                continue
-            if abs(U.ursell_graph_sum(V)) > bound * (1 + 1e-12):
-                bound_ok = False
-        results.append(CheckResult(f"tree-bound-dominance-n{n}", bound_ok))
+        results.append(CheckResult(
+            f"tree-bound-dominance-n{n}", all(bounds),
+            f"{len(bounds)} of {bound_trials} random matrices certified stable",
+        ))
     return results
 
 
@@ -107,32 +129,16 @@ def combinatorics_suite(max_n: int = 5, seed: int = 0, scheme_trials: int = 5) -
     return results
 
 
-def _identity_chunk(args: tuple[int, int, int]) -> list[CheckResult]:
-    max_n, trials, seed = args
-    return identity_suite(max_n=max_n, trials=trials, seed=seed)
-
-
 def run_suite(which: str, max_n: int = 5, trials: int = 40, seed: int = 0,
               jobs: int = 1) -> list[CheckResult]:
-    """Run a named suite; ``jobs`` > 1 splits the random trials across workers."""
+    """Run a named suite; ``jobs`` > 1 spreads the random trials over workers."""
     if which == "all":
         out = []
         for name in ("identities", "combinatorics"):
             out.extend(run_suite(name, max_n=max_n, trials=trials, seed=seed, jobs=jobs))
         return out
     if which == "identities":
-        if jobs <= 1:
-            return identity_suite(max_n=max_n, trials=trials, seed=seed)
-        per = max(1, trials // jobs)
-        chunks = [(max_n, per, seed + 1000 * k) for k in range(jobs)]
-        merged: dict[str, CheckResult] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for results in pool.map(_identity_chunk, chunks):
-                for r in results:
-                    prev = merged.get(r.name)
-                    if prev is None or (prev.ok and not r.ok):
-                        merged[r.name] = r
-        return list(merged.values())
+        return identity_suite(max_n=max_n, trials=trials, seed=seed, jobs=jobs)
     if which == "combinatorics":
         return combinatorics_suite(max_n=max_n, seed=seed)
     raise ValueError(f"unknown suite {which!r}; known: identities, combinatorics, all")

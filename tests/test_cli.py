@@ -129,6 +129,14 @@ class TestVerifyCommand:
                                        "--max-n", "4", "--trials", "8"])
         assert code == 0 and data["ok"] is True
 
+    def test_jobs_do_not_change_rows(self, capsys):
+        argv = ["verify", "--suite", "identities", "--max-n", "4", "--trials", "10", "--seed", "5"]
+        _, one = run_json(capsys, argv + ["--jobs", "1"])
+        _, three = run_json(capsys, argv + ["--jobs", "3"])
+        assert one["rows"] == three["rows"]
+        assert (one["jobs"], three["jobs"]) == (1, 3)
+        assert "over 10 random matrices" in one["rows"][0]["detail"]
+
     def test_combinatorics_pass(self, capsys):
         code, data = run_json(capsys, ["verify", "--suite", "combinatorics", "--max-n", "4"])
         assert code == 0 and data["ok"] is True
@@ -144,6 +152,9 @@ class TestHarness:
         (["graphs", "count", "--n", "9"], "cap is 7"),
         (["ursell", "--matrix", "2; 0 1 nan"], "NaN"),
         (["ursell", "--matrix", "2; 0 5 1.0"], "not a pair"),
+        (["ursell", "--matrix", "2; 0 1 1", "--format", "csv"], "no tabular form"),
+        (["ursell"], "need --matrix"),
+        (["polymer", "criteria", "--model", "hexagon"], "unknown model"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert main(argv) == 2

@@ -28,6 +28,43 @@ class TestBruteForce:
             I.brute_force_Z(7, 0.1)
 
 
+class TestDensityOfStates:
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_counts_are_the_contour_perimeter_histogram(self, L):
+        # geometric route: the opposite pairs under + boundary are the dual
+        # edges of the contours, whatever counted them in the sweep
+        N, M = I._density_of_states(L, "plus")
+        hist = [0] * N.size
+        for cfg in range(1 << (L * L)):
+            spins = np.array([1 - 2 * (cfg >> k & 1) for k in range(L * L)])
+            hist[sum(len(g) for g in I.spins_to_contours(spins, L))] += 1
+        assert N.tolist() == hist
+        assert N.dtype == M.dtype == np.int64
+        assert not N.flags.writeable and not M.flags.writeable
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("boundary,h", [("free", 0), ("plus", 1), ("minus", -1)])
+    def test_magnetization_matches_scalar_sum(self, L, boundary, h):
+        bj = 0.45
+        z_terms, m_terms = [], [[] for _ in range(L * L)]
+        for cfg in range(1 << (L * L)):
+            s = [[1 - 2 * (cfg >> (r * L + c) & 1) for c in range(L)] for r in range(L)]
+            e = 0  # -H / J; the outside spin is h, and h = 0 leaves the box free
+            for r in range(L):
+                for c in range(L):
+                    e += s[r][c] * (s[r][c + 1] if c + 1 < L else h)  # right
+                    e += s[r][c] * (s[r + 1][c] if r + 1 < L else h)  # below
+                    e += s[r][c] * h * ((r == 0) + (c == 0))          # above, left
+            w = math.exp(bj * e)
+            z_terms.append(w)
+            for x in range(L * L):
+                m_terms[x].append(s[x // L][x % L] * w)
+        z = math.fsum(z_terms)
+        expect = [math.fsum(t) / z for t in m_terms]
+        rep = I.magnetization(L, bj, boundary=boundary)
+        assert rep.per_site.tolist() == pytest.approx(expect, rel=1e-12, abs=1e-300)
+
+
 class TestHighTemperature:
     def test_two_by_two_cycle_space(self):
         xi, _ = I.high_T_polymer_Z(2, 0.37)
