@@ -2,11 +2,15 @@
 
 A graph on [n] is an edge subset of the n(n-1)/2 vertex pairs, encoded as a
 bitmask over the pairs in lexicographic order.  Trees are produced through the
-Pruefer bijection, which guarantees exactly n^(n-2) of them.  Two maps from
-rooted trees to connected graphs are provided -- the depth-rule closure of a
-rooted tree and the minimum-spanning-tree closure induced by a total edge
-order -- together with a verifier that checks, graph by graph, that the
-boolean intervals [tree, closure(tree)] partition the connected graphs.
+Pruefer bijection, which guarantees exactly n^(n-2) of them: ``tree_table``
+decodes every sequence at once into numpy columns (mask, parent, depth, pair
+indices), and ``enumerate_trees`` reads its rows.  Two maps from rooted trees
+to connected graphs are provided -- the depth-rule closure of a rooted tree
+and the minimum-spanning-tree closure induced by a total edge order -- each
+twice: as a scalar closure of one tree, the oracle, and as a boolean
+closure-minus-tree array over the whole table (``penrose_added``,
+``kruskal_added``).  A verifier checks, graph by graph, that the boolean
+intervals [tree, closure(tree)] partition the connected graphs.
 
 Vertices are 0-indexed and rooted trees are rooted at vertex 0.
 """
@@ -16,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -298,6 +301,15 @@ class RootedTree:
             kids[parent[v]].append(v)
         self.children = tuple(tuple(k) for k in kids)
 
+    @classmethod
+    def _from_row(cls, n: int, mask: int, parent: list[int], depth: list[int],
+                  children: tuple[tuple[int, ...], ...]) -> "RootedTree":
+        """A tree from a ``tree_table`` row, trusted as is: no BFS, no checks."""
+        self = cls.__new__(cls)
+        self.n, self.root, self.mask = n, 0, mask
+        self.parent, self.depth, self.children = tuple(parent), tuple(depth), children
+        return self
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return LabeledGraph(self.n, self.mask).edges
@@ -375,20 +387,124 @@ def prufer_to_tree(n: int, seq: Sequence[int]) -> RootedTree:
     return RootedTree(n, edges)
 
 
+@dataclass(frozen=True, eq=False)
+class TreeTable:
+    """Every labelled tree on [n], one row each, in Pruefer-sequence order.
+
+    Read-only arrays: ``mask`` (int64), ``parent`` and ``depth`` per vertex
+    (int8, rooted at 0, the root's parent is -1) and ``pairs``, the tree's
+    n-1 pair indices ascending (int8).
+    """
+
+    n: int
+    mask: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
+    pairs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mask)
+
+    def chunks(self) -> Iterator[slice]:
+        """Row slices covering at most MASK_CHUNK (tree, pair) cells each, so
+        per-pair work over the table stays bounded at every n."""
+        step = max(1, MASK_CHUNK // max(num_pairs(self.n), 1))
+        return (slice(lo, lo + step) for lo in range(0, len(self), step))
+
+
+@lru_cache(maxsize=None)
+def pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint columns (i, j) of the pairs of [n], in pair-index order."""
+    ends = np.array(vertex_pairs(n), dtype=np.intp).reshape(-1, 2)
+    ends.flags.writeable = False
+    return ends[:, 0], ends[:, 1]
+
+
+def _prufer_decode(n: int, codes: np.ndarray) -> np.ndarray:
+    """Parent of every vertex towards n-1 (-1 at n-1 itself) in the tree of
+    each Pruefer code; the code's base-n digits, leading digit first, are the
+    sequence.  Each step attaches the smallest leaf to the next digit."""
+    m = codes.size
+    rows = np.arange(m)
+    seq = [codes // n ** (n - 3 - k) % n for k in range(n - 2)]
+    degree = np.ones((m, n), dtype=np.int8)
+    for s in seq:
+        degree[rows, s] += 1
+    up = np.full((m, n), -1, dtype=np.int8)
+    for s in seq:
+        leaf = np.argmax(degree == 1, axis=1)
+        up[rows, leaf] = s
+        degree[rows, leaf] = 0
+        degree[rows, s] -= 1
+    # the two vertices left are n-1, never removed, and the smaller one
+    up[rows, np.argmax(degree == 1, axis=1)] = n - 1
+    return up
+
+
+@lru_cache(maxsize=None)
+def tree_table(n: int) -> TreeTable:
+    """All n^(n-2) trees on [n] in ``enumerate_trees`` order, built once per n
+    by a vectorised Pruefer decode, MASK_CHUNK codes at a time."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > TREE_CAP:
+        raise CapExceededError(f"tree enumeration refused for n={n}: cap is {TREE_CAP}")
+    total = n ** max(n - 2, 0)
+    mask = np.zeros(total, dtype=np.int64)
+    parent = np.full((total, n), -1, dtype=np.int8)
+    depth = np.zeros((total, n), dtype=np.int8)
+    pairs = np.empty((total, n - 1), dtype=np.int8)
+    if n > 1:
+        index = np.zeros((n, n), dtype=np.int8)
+        i, j = pair_ends(n)
+        index[i, j] = index[j, i] = np.arange(len(i))
+        for lo in range(0, total, MASK_CHUNK):
+            hi = min(lo + MASK_CHUNK, total)
+            rows = np.arange(hi - lo)
+            up = _prufer_decode(n, np.arange(lo, hi))
+            # re-root at 0: reverse the pointers on the path from 0 to n-1
+            par = up.copy()
+            par[:, 0] = -1
+            at = np.zeros(hi - lo, dtype=np.intp)
+            for _ in range(n - 1):
+                nxt = up[rows, at]
+                live = nxt >= 0
+                par[rows[live], nxt[live]] = at[live]
+                at = np.where(live, nxt, at)
+            parent[lo:hi] = par
+            pairs[lo:hi] = np.sort(index[np.arange(1, n), par[:, 1:]], axis=1)
+            mask[lo:hi] = np.left_shift(1, pairs[lo:hi], dtype=np.int64).sum(axis=1)
+            # n-1 rounds of depth(v) = depth(parent(v)) + 1 from vertex 0
+            above = (np.maximum(par, 0) + (rows * n)[:, None]).ravel()
+            dep = depth[lo:hi].reshape(-1)
+            for _ in range(n - 1):
+                dep[:] = dep[above] + 1
+                dep[::n] = 0
+    for col in (mask, parent, depth, pairs):
+        col.flags.writeable = False
+    return TreeTable(n, mask, parent, depth, pairs)
+
+
 def enumerate_trees(n: int, cap: int = TREE_CAP) -> Iterator[RootedTree]:
-    """All n^(n-2) labelled trees on [n] via the Pruefer bijection."""
+    """All n^(n-2) labelled trees on [n] via the Pruefer bijection, read from
+    the rows of ``tree_table(n)``."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > cap:
         raise CapExceededError(f"tree enumeration refused for n={n}: cap is {cap}")
-    if n == 1:
-        yield RootedTree(1, mask=0)
-        return
-    if n == 2:
-        yield RootedTree(2, [(0, 1)])
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield prufer_to_tree(n, seq)
+    t = tree_table(n)
+    subsets = [mask_bits(m) for m in range(1 << n)]
+    step = 1 << 16  # rows turned into Python lists at a time
+    for lo in range(0, len(t), step):
+        parent = t.parent[lo:lo + step]
+        rows = np.arange(len(parent))
+        # children of each vertex as a bitmask, read back through ``subsets``
+        below = np.zeros(parent.shape, dtype=np.int16)
+        for v in range(1, n):
+            below[rows, parent[:, v]] |= 1 << v
+        for mask, par, depth, kids in zip(t.mask[lo:lo + step].tolist(), parent.tolist(),
+                                          t.depth[lo:lo + step].tolist(), below.tolist()):
+            yield RootedTree._from_row(n, mask, par, depth, tuple(map(subsets.__getitem__, kids)))
 
 
 def tree_count_by_degrees(degrees: Sequence[int]) -> int:
@@ -502,6 +618,61 @@ def kruskal_closure(tree: RootedTree, order: EdgeOrder) -> LabeledGraph:
         if all(r > order.rank(*e) for e in tree.path_pairs(i, j)):
             mask |= bit
     return LabeledGraph(n, mask)
+
+
+@lru_cache(maxsize=None)
+def penrose_added(n: int) -> np.ndarray:
+    """Closure-minus-tree pairs of the depth rule for every row of
+    ``tree_table(n)``: a read-only bool array, one column per pair.
+
+    The rule never picks a tree edge, whose endpoints are parent and child.
+    """
+    t = tree_table(n)
+    i, j = pair_ends(n)
+    added = np.empty((len(t), len(i)), dtype=bool)
+    for rows in t.chunks():
+        d, p = t.depth[rows], t.parent[rows]
+        di, dj = d[:, i], d[:, j]
+        added[rows] = ((di == dj) | ((di == dj + 1) & (j > p[:, i]))
+                       | ((dj == di + 1) & (i > p[:, j])))
+    added.flags.writeable = False
+    return added
+
+
+def kruskal_added(order: EdgeOrder, rows: slice = slice(None)) -> np.ndarray:
+    """Closure-minus-tree pairs under ``order`` for ``tree_table(n)[rows]``:
+    a pair is added when its rank is above every rank on its tree path.
+
+    The path maximum of every (tree, pair) cell is found at once by climbing
+    both endpoints towards their common ancestor, the deeper one first.
+    """
+    n = order.n
+    t = tree_table(n)
+    parent, depth = t.parent[rows], t.depth[rows]
+    m = len(parent)
+    rank = np.asarray(order.ranks, dtype=np.int8)
+    i, j = pair_ends(n)
+    # rank of the edge from each vertex to its parent; the last column, which
+    # a root's parent -1 selects, holds -1
+    by_ends = np.full((n, n + 1), -1, dtype=np.int8)
+    by_ends[i, j] = by_ends[j, i] = rank
+    up_rank = by_ends[np.arange(n), parent].ravel()
+    up, dep = parent.ravel(), depth.ravel()
+    flat = (np.arange(m) * n)[:, None]
+    a, b = i + flat, j + flat
+    top = np.full((m, len(i)), -1, dtype=np.int8)
+    for _ in range(n - 1):
+        da, db = dep[a], dep[b]
+        apart = a != b
+        if not apart.any():
+            break
+        climb_a = apart & (da >= db)
+        climb_b = apart & (db >= da)
+        np.maximum(top, np.where(climb_a, up_rank[a], -1), out=top)
+        np.maximum(top, np.where(climb_b, up_rank[b], -1), out=top)
+        a = np.where(climb_a, up[a] + flat, a)
+        b = np.where(climb_b, up[b] + flat, b)
+    return rank > top
 
 
 @dataclass

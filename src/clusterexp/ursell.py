@@ -10,6 +10,10 @@ produced by a signed sum over set partitions and by a sum over trees weighted
 through any partition scheme; agreement of the three routes is the main
 correctness check of this package.
 
+The tree route runs over ``graphs.tree_table(n)``: one vectorised term
+evaluator takes the closure-minus-tree pairs of every tree as a boolean array,
+whichever closure produced them.
+
 Matrices whose values are all 0 or +inf ("hard core") are evaluated in exact
 integer arithmetic, so the identities can be checked bit for bit.
 """
@@ -17,8 +21,7 @@ integer arithmetic, so the identities can be checked bit for bit.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,12 +32,14 @@ from .graphs import (
     EdgeOrder,
     connected_masks,
     enumerate_trees,
-    kruskal_closure,
+    kruskal_added,
     mask_bits,
     num_pairs,
+    pair_ends,
     pair_index,
     pair_index_map,
-    penrose_closure,
+    penrose_added,
+    tree_table,
     vertex_pairs,
 )
 
@@ -71,11 +76,9 @@ class InteractionMatrix:
         for v in vals:
             if v != v:
                 raise ValueError("NaN is not a valid interaction value")
+            if v == -INF:
+                raise ValueError("-inf is not a valid interaction value: values lie in R or +inf")
         self._values = tuple(vals)
-
-    @classmethod
-    def from_function(cls, n: int, f: Callable[[int, int], float]) -> "InteractionMatrix":
-        return cls(n, [f(i, j) for i, j in vertex_pairs(n)])
 
     def value(self, i: int, j: int) -> float:
         if i == j:
@@ -219,15 +222,9 @@ def ursell_partition_formula(V: InteractionMatrix, cap: int = PARTITION_CAP):
     return total
 
 
-@lru_cache(maxsize=None)
-def _penrose_tree_table(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Per tree on [n]: (tree mask, closure-minus-tree mask, tree pair indices)."""
-    table = []
-    for tree in enumerate_trees(n):
-        closed = penrose_closure(tree)
-        tree_pairs = mask_bits(tree.mask)
-        table.append((tree.mask, closed.mask ^ tree.mask, tree_pairs))
-    return tuple(table)
+# the depth-rule array under the name bench/tracing.py wraps to count its
+# cache misses as ``ursell.penrose_table``
+_penrose_tree_table = penrose_added
 
 
 def ursell_tree_identity(V: InteractionMatrix, scheme="penrose"):
@@ -235,54 +232,61 @@ def ursell_tree_identity(V: InteractionMatrix, scheme="penrose"):
 
     ``scheme`` is "penrose" (depth-rule closure), "kruskal" (closure under the
     edge order built from the matrix values with lexicographic tie-break), or
-    a callable mapping a RootedTree to its closure graph.
+    a callable mapping a RootedTree to its closure graph.  Every scheme is
+    evaluated over the rows of ``tree_table(n)``: the named ones read their
+    closure-minus-tree pairs as arrays, a callable fills the same array from
+    its closure tree by tree.
     """
+    if not (scheme in ("penrose", "kruskal") or callable(scheme)):
+        raise ValueError(f"unknown scheme {scheme!r}")
     n = V.n
     if n == 1:
         return 1
-    w = V.mayer_weights()
-    vals = V.pair_values
-    hard = V.is_hard_core
-    total = 0 if hard else 0.0
-
     if scheme == "penrose":
-        for tree_mask, extra_mask, tree_pairs in _penrose_tree_table(n):
-            total += _tree_term(vals, w, tree_pairs, extra_mask, hard)
-        return total
-
-    if scheme == "kruskal":
-        order = EdgeOrder.from_weights(n, lambda i, j: V.value(i, j))
-        closure = lambda t: kruskal_closure(t, order)
-    elif callable(scheme):
-        closure = scheme
+        penrose = _penrose_tree_table(n)
+        added = lambda rows: penrose[rows]
+    elif scheme == "kruskal":
+        order = EdgeOrder.from_weights(n, V.value)
+        added = lambda rows: kruskal_added(order, rows)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        trees = enumerate_trees(n)
+        pair_bits = np.left_shift(1, np.arange(num_pairs(n), dtype=np.int64))
 
-    for tree in enumerate_trees(n):
-        closed = closure(tree)
-        extra_mask = closed.mask ^ tree.mask
-        total += _tree_term(vals, w, mask_bits(tree.mask), extra_mask, hard)
-    return total
+        def added(rows):
+            # _tree_sum asks for the row chunks in order, so the trees follow
+            extra = [scheme(t).mask ^ t.mask for t in islice(trees, rows.stop - rows.start)]
+            return np.array(extra, dtype=np.int64)[:, None] & pair_bits != 0
+
+    return _tree_sum(V, added)
 
 
-def _tree_term(vals, w, tree_pairs, extra_mask, hard: bool):
-    prod = 1 if hard else 1.0
-    for k in tree_pairs:
-        prod *= w[k]
-        if not prod:
-            return prod
-    exponent = 0.0
-    m = extra_mask
-    while m:
-        low = m & -m
-        v = vals[low.bit_length() - 1]
-        if v == INF:
-            return 0 if hard else 0.0
-        exponent += v
-        m ^= low
-    if hard:
-        return prod  # all extra values are 0 here
-    return prod * math.exp(-exponent)
+def _tree_sum(V: InteractionMatrix, added: Callable[[slice], np.ndarray]):
+    """Sum over the trees of [n] of prod over tree pairs w_ij times
+    exp(-sum of V_ij over the added pairs), 0 when an added pair is +inf.
+
+    ``added(rows)`` gives the closure-minus-tree pairs of those table rows.
+    Hard-core matrices count the surviving trees exactly, each worth
+    (-1)^(n-1); others take the exactly rounded sum of the float terms.
+    """
+    t = tree_table(V.n)
+    vals = np.array(V.pair_values, dtype=np.float64)
+    forbidden = vals == INF
+    if V.is_hard_core:
+        count = 0
+        for rows in t.chunks():
+            survive = forbidden[t.pairs[rows]].all(axis=1) & ~(added(rows) & forbidden).any(axis=1)
+            count += int(np.count_nonzero(survive))
+        return (-1) ** (V.n - 1) * count
+    finite = np.where(forbidden, 0.0, vals)
+    w = np.array(V.mayer_weights(), dtype=np.float64)
+
+    def terms(rows: slice) -> list[float]:
+        extra = added(rows)
+        term = w[t.pairs[rows]].prod(axis=1) * np.exp(-(extra @ finite))
+        term[(extra & forbidden).any(axis=1)] = 0.0
+        return term.tolist()
+
+    return math.fsum(chain.from_iterable(terms(rows) for rows in t.chunks()))
 
 
 def check_stability_vector(V: InteractionMatrix, B: Sequence[float], tol: float = 1e-12) -> None:
@@ -313,28 +317,14 @@ def tree_graph_bound(V: InteractionMatrix, B: Sequence[float]) -> float:
     e^(sum B_i) * sum over trees of prod over tree edges (1 - e^(-|V_ij|)).
     """
     check_stability_vector(V, B)
-    n = V.n
-    vals = V.pair_values
-    factors = [1.0 if v == INF else -math.expm1(-abs(v)) for v in vals]
-    total = 0.0
-    for tree in enumerate_trees(n):
-        prod = 1.0
-        for k in mask_bits(tree.mask):
-            prod *= factors[k]
-            if prod == 0.0:
-                break
-        total += prod
-    return math.exp(math.fsum(B)) * total
+    factors = np.array([1.0 if v == INF else -math.expm1(-abs(v)) for v in V.pair_values])
+    t = tree_table(V.n)
+    prods = (factors[t.pairs[rows]].prod(axis=1).tolist() for rows in t.chunks())
+    return math.exp(math.fsum(B)) * math.fsum(chain.from_iterable(prods))
 
 
 # ---------------------------------------------------------------------------
 # Tree families for hard-core systems
-
-
-def _iter_incompatible(relation, a: int, b: int) -> bool:
-    if callable(relation):
-        return bool(relation(a, b))
-    return bool(relation[a][b])
 
 
 def tree_family_counts(incompatible, n_vertices: int, root: int = 0) -> dict[str, int]:
@@ -352,30 +342,26 @@ def tree_family_counts(incompatible, n_vertices: int, root: int = 0) -> dict[str
     - "kp": tree edges incompatible.
     """
     n = n_vertices
-
-    def relabel(v: int) -> int:
-        if v == 0:
-            return root
-        if v == root:
-            return 0
-        return v
-
-    def inc(a: int, b: int) -> bool:
-        return _iter_incompatible(incompatible, relabel(a), relabel(b))
-
-    pairs = vertex_pairs(n)
-    counts = {"penrose": 0, "weak": 0, "dobrushin": 0, "kp": 0}
-    for tree in enumerate_trees(n):
-        ok_edges = all(inc(i, j) for i, j in tree.edges)
-        if not ok_edges:
-            continue
-        counts["kp"] += 1
-        counts["dobrushin"] += 1  # distinct vertices are distinct polymers
-        counts["weak"] += not any(inc(i, j) for kids in tree.children
-                                  for i, j in combinations(kids, 2))
-        added = penrose_closure(tree).mask ^ tree.mask
-        counts["penrose"] += not any(inc(*pairs[k]) for k in mask_bits(added))
-    return counts
+    t = tree_table(n)
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} is not a vertex of [{n}]")
+    relabel = list(range(n))
+    relabel[0], relabel[root] = root, 0
+    relation = incompatible if callable(incompatible) else lambda a, b: incompatible[a][b]
+    inc = np.array([bool(relation(relabel[i], relabel[j])) for i, j in vertex_pairs(n)],
+                   dtype=bool)
+    i, j = pair_ends(n)
+    penrose = _penrose_tree_table(n)
+    kp = weak = pen = 0
+    for rows in t.chunks():
+        ok = inc[t.pairs[rows]].all(axis=1)
+        parent = t.parent[rows]
+        siblings = parent[:, i] == parent[:, j]
+        kp += int(np.count_nonzero(ok))
+        weak += int(np.count_nonzero(ok & ~(siblings & inc).any(axis=1)))
+        pen += int(np.count_nonzero(ok & ~(penrose[rows] & inc).any(axis=1)))
+    # distinct vertices are distinct polymers, so dobrushin equals kp
+    return {"penrose": pen, "weak": weak, "dobrushin": kp, "kp": kp}
 
 
 def hardcore_penrose_count(incompatible, n_vertices: int, root: int = 0) -> int:
@@ -397,13 +383,7 @@ def penrose_exponent_minimum(V: InteractionMatrix) -> float:
     helps).  Nothing is asserted about boundedness; callers can watch the
     minimum as n grows.
     """
-    n = V.n
-    vals = V.pair_values
-    best = INF
-    for _, extra_mask, _ in _penrose_tree_table(n):
-        s = 0.0
-        for k in mask_bits(extra_mask):
-            if vals[k] != INF:
-                s += vals[k]
-        best = min(best, s)
-    return best
+    finite = np.array([0.0 if v == INF else v for v in V.pair_values])
+    penrose = _penrose_tree_table(V.n)
+    return min(float((penrose[rows] @ finite).min())
+               for rows in tree_table(V.n).chunks())

@@ -155,6 +155,7 @@ class TestHarness:
         (["ursell", "--matrix", "2; 0 1 1", "--format", "csv"], "no tabular form"),
         (["ursell"], "need --matrix"),
         (["polymer", "criteria", "--model", "hexagon"], "unknown model"),
+        (["ursell", "--matrix", "2; 0 1 -inf"], "-inf"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert main(argv) == 2

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -126,6 +127,72 @@ class TestTrees:
             G.tree_count_by_degrees((1, 1, 1, 1))
         with pytest.raises(ValueError, match=">= 1"):
             G.tree_count_by_degrees((0, 2, 2, 2))
+
+
+def prufer_trees(n):
+    """Oracle side: every Pruefer sequence decoded by the scalar decoder, whose
+    RootedTree runs its own BFS."""
+    return [G.prufer_to_tree(n, seq) for seq in product(range(n), repeat=max(n - 2, 0))]
+
+
+def pair_flags(n, mask):
+    return [bool(mask >> k & 1) for k in range(G.num_pairs(n))]
+
+
+def random_order(n, rng):
+    """Ties among the finite values and several +inf pairs."""
+    w = {p: rng.choice([0.0, 0.5, 0.5, 1.0, 2.0, math.inf]) for p in G.vertex_pairs(n)}
+    return G.EdgeOrder.from_weights(n, w)
+
+
+class TestTreeTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_rows_match_scalar_decode(self, n):
+        t = G.tree_table(n)
+        ref = prufer_trees(n)
+        assert t.mask.tolist() == [r.mask for r in ref]
+        assert [tuple(p) for p in t.parent.tolist()] == [r.parent for r in ref]
+        assert [tuple(d) for d in t.depth.tolist()] == [r.depth for r in ref]
+        assert [tuple(k) for k in t.pairs.tolist()] == [G.mask_bits(r.mask) for r in ref]
+        assert t.mask.dtype == np.int64
+        assert t.parent.dtype == t.depth.dtype == t.pairs.dtype == np.int8
+        assert t.parent.shape == t.depth.shape == (n ** max(n - 2, 0), n)
+        assert t.pairs.shape == (len(t), n - 1)
+        assert not any(a.flags.writeable for a in (t.mask, t.parent, t.depth, t.pairs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_penrose_added_matches_closure(self, n):
+        added = G.penrose_added(n)
+        assert added.dtype == bool and not added.flags.writeable
+        expect = [pair_flags(n, G.penrose_closure(r).mask ^ r.mask) for r in prufer_trees(n)]
+        assert added.tolist() == expect
+
+    @pytest.mark.parametrize("n,orders", [(2, 2), (3, 4), (4, 4), (5, 4), (6, 3), (7, 2)])
+    def test_kruskal_added_matches_closure(self, n, orders):
+        rng = random.Random(700 + n)
+        ref = prufer_trees(n)
+        for order in [G.EdgeOrder.lexicographic(n)] + [random_order(n, rng) for _ in range(orders)]:
+            expect = [pair_flags(n, G.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
+            assert G.kruskal_added(order).tolist() == expect
+
+    def test_kruskal_added_rows_are_a_slice(self):
+        order = random_order(6, random.Random(6))
+        full = G.kruskal_added(order)
+        assert np.array_equal(G.kruskal_added(order, slice(100, 700)), full[100:700])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_enumerated_trees_equal_bfs_trees(self, n):
+        for tree, ref in zip(G.enumerate_trees(n), prufer_trees(n), strict=True):
+            assert tree == ref
+            assert (tree.parent, tree.depth, tree.children) == (ref.parent, ref.depth, ref.children)
+
+    def test_cap_and_size(self):
+        with pytest.raises(G.CapExceededError, match="cap is 9"):
+            G.tree_table(10)
+        with pytest.raises(ValueError, match="n >= 1"):
+            G.tree_table(0)
+        with pytest.raises(G.CapExceededError, match="cap is 4"):
+            list(G.enumerate_trees(5, cap=4))
 
 
 class TestPenroseClosure:

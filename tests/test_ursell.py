@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -194,11 +195,114 @@ class TestClosureExponentSearch:
         assert penrose_exponent_minimum(V) <= 0.0
 
 
+def prufer_trees(n):
+    """Oracle side: the scalar Pruefer decoder, whose RootedTree runs its BFS."""
+    return [G.prufer_to_tree(n, seq) for seq in product(range(n), repeat=max(n - 2, 0))]
+
+
+def random_relation(n, rng, p=0.55):
+    inc = [[True] * n for _ in range(n)]
+    for i, j in G.vertex_pairs(n):
+        inc[i][j] = inc[j][i] = rng.random() < p
+    return inc
+
+
+class TestTreeTableRoutes:
+    @pytest.mark.parametrize("n,trials", [(2, 6), (3, 6), (4, 6), (5, 4), (6, 2), (7, 1)])
+    def test_table_equals_callable_closures(self, n, trials):
+        rng = random.Random(800 + n)
+        for _ in range(trials):
+            for V in (random_hardcore(n, rng, p_inf=0.6),
+                      random_matrix(n, rng, p_inf=0.3, lo=-0.5, hi=2.0)):
+                order = G.EdgeOrder.from_weights(n, V.value)
+                pairs = (("penrose", G.penrose_closure),
+                         ("kruskal", lambda t: G.kruskal_closure(t, order)))
+                for name, closure in pairs:
+                    table, scalar = ursell_tree_identity(V, name), ursell_tree_identity(V, closure)
+                    if V.is_hard_core:
+                        assert type(table) is type(scalar) is int and table == scalar
+                    else:
+                        assert table == pytest.approx(scalar, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_float_route_equals_scalar_tree_sum(self, n):
+        # per-tree terms written out over the scalar trees and closures
+        rng = random.Random(900 + n)
+        for _ in range(5):
+            V = random_matrix(n, rng, p_inf=0.3)
+            vals, w = V.pair_values, V.mayer_weights()
+            order = G.EdgeOrder.from_weights(n, V.value)
+            for name, closure in (("penrose", G.penrose_closure),
+                                  ("kruskal", lambda t: G.kruskal_closure(t, order))):
+                terms = []
+                for tree in prufer_trees(n):
+                    extra = G.mask_bits(closure(tree).mask ^ tree.mask)
+                    if any(vals[k] == INF for k in extra):
+                        continue
+                    terms.append(math.prod(w[k] for k in G.mask_bits(tree.mask))
+                                 * math.exp(-sum(vals[k] for k in extra)))
+                assert ursell_tree_identity(V, name) == pytest.approx(math.fsum(terms), rel=1e-12)
+
+    def test_unknown_scheme_refused_at_every_n(self):
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                ursell_tree_identity(InteractionMatrix(n, {}), "bogus")
+
+    @pytest.mark.parametrize("n,root", [(2, 5), (3, -1), (3, 3), (1, 1)])
+    def test_root_outside_vertices_refused(self, n, root):
+        inc = [[True] * n for _ in range(n)]
+        with pytest.raises(ValueError, match="not a vertex"):
+            tree_family_counts(inc, n, root=root)
+        with pytest.raises(ValueError, match="not a vertex"):
+            hardcore_penrose_count(inc, n, root=root)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_family_counts_equal_scalar_counts(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(4):
+            inc = random_relation(n, rng)
+            root = rng.randrange(n)
+            swap = list(range(n))
+            swap[0], swap[root] = root, 0
+            bad = lambda a, b: inc[swap[a]][swap[b]]
+            expect = {"penrose": 0, "weak": 0, "dobrushin": 0, "kp": 0}
+            for tree in prufer_trees(n):
+                if not all(bad(i, j) for i, j in tree.edges):
+                    continue
+                expect["kp"] += 1
+                expect["dobrushin"] += 1
+                expect["weak"] += not any(bad(i, j) for kids in tree.children
+                                          for i, j in combinations(kids, 2))
+                added = G.penrose_closure(tree).mask ^ tree.mask
+                expect["penrose"] += not any(bad(*G.vertex_pairs(n)[k]) for k in G.mask_bits(added))
+            assert tree_family_counts(inc, n, root=root) == expect
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_tree_bound_and_exponent_minimum_equal_scalar_loops(self, n):
+        rng = random.Random(1100 + n)
+        vals = {p: rng.choice([INF, rng.uniform(0.0, 2.0)]) for p in G.vertex_pairs(n)}
+        V = InteractionMatrix(n, vals)
+        trees = prufer_trees(n)
+        factors = [1.0 if v == INF else -math.expm1(-abs(v)) for v in V.pair_values]
+        bound = math.fsum(math.prod(factors[k] for k in G.mask_bits(t.mask)) for t in trees)
+        assert tree_graph_bound(V, [0.0] * n) == pytest.approx(bound, rel=1e-12)
+        W = random_matrix(n, rng, p_inf=0.3)
+        sums = [math.fsum(W.pair_values[k] for k in
+                          G.mask_bits(G.penrose_closure(t).mask ^ t.mask) if W.pair_values[k] != INF)
+                for t in trees]
+        assert penrose_exponent_minimum(W) == pytest.approx(min(sums), rel=1e-12, abs=1e-12)
+
+
 class TestTextForm:
     def test_round_trip_with_inf(self):
         V = InteractionMatrix(3, {(0, 1): INF, (1, 2): 0.25})
         V2 = InteractionMatrix.from_text(V.to_text())
         assert V2.pair_values == V.pair_values
+
+    @pytest.mark.parametrize("text", ["2; 0 1 -inf", "3; 0 1 -inf; 0 2 1; 1 2 1"])
+    def test_minus_inf_refused(self, text):
+        with pytest.raises(ValueError, match="-inf"):
+            InteractionMatrix.from_text(text)
 
     def test_semicolon_form(self):
         V = InteractionMatrix.from_text("2; 0 1 inf")
