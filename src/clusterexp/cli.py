@@ -157,10 +157,14 @@ def _cmd_ursell(args) -> int:
         V = ursell.InteractionMatrix.from_text(args.matrix)
     else:
         raise ValueError("need --matrix or --matrix-file")
-    a = ursell.ursell_graph_sum(V)
-    b = ursell.ursell_partition_formula(V)
-    c = ursell.ursell_tree_identity(V, "penrose")
-    d = ursell.ursell_tree_identity(V, "kruskal")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        a = ursell.ursell_graph_sum(V)
+        b = ursell.ursell_partition_formula(V)
+        c = ursell.ursell_tree_identity(V, "penrose")
+        d = ursell.ursell_tree_identity(V, "kruskal")
+    if not all(math.isfinite(x) for x in map(float, (a, b, c, d))):
+        raise ValueError(f"the Ursell coefficient overflows a float at n = {V.n}: "
+                         "Boltzmann weights this large have no finite sum")
     scale = max(abs(float(a)), 1e-30)
     payload = {
         "command": "ursell",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 BRUTE_CAP = 5
 BRUTE_CAP_HARD = 6
@@ -253,27 +252,16 @@ class ContourReport:
     min_contour_size: int | None
 
 
-def low_T_contour_Z(L: int, beta: float, J: float = 1.0, cap: int = BRUTE_CAP) -> ContourReport:
-    """Contour partition function under + boundary.
-
-    Sums e^(-2 beta J B-) over the opposite-pair counts B- of the + boundary
-    density of states, verifies the energy identity H = -J Btilde + 2 J B-
-    with Btilde = 2L(L+1) on the geometric contours of the configurations
-    (all for L <= 3, sampled beyond); the reconstruction
-    e^(beta J Btilde) Xi equals the brute-force + boundary sum.
-    """
-    if L > min(cap, BRUTE_CAP_HARD):
-        raise ValueError(f"contour extraction capped at L={min(cap, BRUTE_CAP_HARD)}")
+@lru_cache(maxsize=None)
+def _contour_energy_identity(L: int) -> tuple[bool, int | None]:
+    """Tie the geometric contour extraction to the Hamiltonian, independent
+    of beta and J: per spin configuration under + boundary, the direct pair
+    sum (internal bonds plus boundary pairs against the outside +1) must
+    equal Btilde - 2 (total contour perimeter), Btilde = 2L(L+1).
+    Exhaustive for L <= 3, 512 seeded samples beyond.  Returns whether the
+    identity held everywhere and the smallest contour size seen."""
     btilde = 2 * L * (L + 1)
-    N, _ = _density_of_states(L, "plus")
-    xi = math.fsum((N * np.exp(-2.0 * beta * J * np.arange(N.size))).tolist())
-    z = math.exp(beta * J * btilde) * xi
-    # tie the geometric contour extraction to the Hamiltonian: per spin
-    # configuration, the direct pair-sum energy must equal
-    # -J Btilde + 2 J (total contour perimeter); exhaustive for L <= 3,
-    # sampled beyond
     identity_ok = True
-    min_size = None
     sizes = []
     if L <= 3:
         sample = range(1 << (L * L))
@@ -284,17 +272,33 @@ def low_T_contour_Z(L: int, beta: float, J: float = 1.0, cap: int = BRUTE_CAP) -
     mult = boundary_multiplicity(L)
     for cfg in sample:
         spins = np.array([1 - 2 * (int(cfg) >> k & 1) for k in range(L * L)])
-        h_spin = -J * (
+        pair_sum = (
             sum(spins[i] * spins[j] for i, j in bonds)
             + sum(k * spins[x] for x, k in enumerate(mult))
         )
         contours = spins_to_contours(spins, L)
-        perimeter = sum(len(g) for g in contours)
-        if h_spin != -J * btilde + 2 * J * perimeter:
+        if pair_sum != btilde - 2 * sum(len(g) for g in contours):
             identity_ok = False
         sizes.extend(len(g) for g in contours)
-    if sizes:
-        min_size = min(sizes)
+    return identity_ok, min(sizes) if sizes else None
+
+
+def low_T_contour_Z(L: int, beta: float, J: float = 1.0, cap: int = BRUTE_CAP) -> ContourReport:
+    """Contour partition function under + boundary.
+
+    Sums e^(-2 beta J B-) over the opposite-pair counts B- of the + boundary
+    density of states, verifies the energy identity H = -J Btilde + 2 J B-
+    with Btilde = 2L(L+1) on the geometric contours of the configurations
+    (all for L <= 3, sampled beyond; checked once per L); the reconstruction
+    e^(beta J Btilde) Xi equals the brute-force + boundary sum.
+    """
+    if L > min(cap, BRUTE_CAP_HARD):
+        raise ValueError(f"contour extraction capped at L={min(cap, BRUTE_CAP_HARD)}")
+    btilde = 2 * L * (L + 1)
+    N, _ = _density_of_states(L, "plus")
+    xi = math.fsum((N * np.exp(-2.0 * beta * J * np.arange(N.size))).tolist())
+    z = math.exp(beta * J * btilde) * xi
+    identity_ok, min_size = _contour_energy_identity(L)
     return ContourReport(xi, z, btilde, identity_ok, min_size)
 
 
@@ -343,6 +347,8 @@ def duality_check(L: int, beta: float, J: float = 1.0,
     xi_low = math.fsum(c * u**m for m, c in enumerate(counts) if c)
     ident = max(abs(math.exp(-2.0 * dual_coupling(b)) - math.tanh(b)) for b in probes)
     invol = max(abs(dual_coupling(dual_coupling(b)) - b) for b in probes)
+    from scipy.optimize import brentq
+
     beta_c = brentq(lambda b: dual_coupling(b) - b, 0.2, 1.0, xtol=1e-15)
     return DualityReport(
         beta=bj,
@@ -463,6 +469,8 @@ def _animal_quartic_root(a: float = 0.21) -> float:
     """Root of e^(4a) y^4 + (e^(2a) - e^a) y - (e^a - 1) = 0 on (0, 1):
     the largest admissible value of 3*(activity) in the high- and
     low-temperature counting conditions."""
+    from scipy.optimize import brentq
+
     f = lambda y: math.exp(4 * a) * y**4 + (math.exp(2 * a) - math.exp(a)) * y - (math.exp(a) - 1.0)
     return brentq(f, 1e-9, 1.0, xtol=1e-12)
 
@@ -490,6 +498,8 @@ def animal_counts_and_thresholds(a: float = 0.21) -> ThresholdReport:
     beta0 = math.atanh(y / 3.0)
     beta1 = 0.5 * math.log(3.0 / y)
     beta0p = math.atanh(1.0 / 3.0)
+    from scipy.optimize import brentq
+
     g_root = brentq(lambda x: x**4 * (4.0 - 3.0 * x) / (1.0 - x) ** 2 - 0.5, 1e-6, 0.9, xtol=1e-12)
     beta1p = 0.5 * math.log(3.0 / g_root)
     return ThresholdReport(a, y, beta0, beta1, beta0p, beta1p, g_root, counts)

@@ -1,12 +1,19 @@
 """Mayer coefficients on finite discrete volumes and the classical bounds.
 
 The n-th coefficient of the log of the grand-canonical sum, per site, is
+defined by
 
-    C_n = (1 / (n! |volume|)) * sum over n-tuples of sites of Phi(V)
+    log Xi_volume(z) = |volume| * sum_n C_n z^n,
 
-with Phi from :mod:`clusterexp.ursell`.  Tuples are grouped by multiset, so
-the cost scales with binom(|volume| + n - 1, n) instead of |volume|^n.  When
-the site interactions are all 0 or +inf the coefficients are exact rationals.
+where Xi sums z^|S| e^(-beta U(S)) over the occupied site sets S.  Xi is
+built truncated at z^n_max by a site-by-site transfer: the state is the
+occupancy of the processed sites that still interact with a later site (the
+frontier), so a sweep keeps at most sum_(k <= n_max) binom(w, k) states for
+a frontier of width w, and costs |volume| times that many polynomial steps.
+The power-series log follows from k h_k = k a_k - sum_(j<k) j h_j a_(k-j).
+Both steps run in exact rationals (each Boltzmann weight is the exact value
+of its float), so the coefficients are rounded once: exact rationals when
+the site interactions are all 0 or +inf, floats otherwise.
 
 Alongside the coefficients: the three closed-form bounds (double-stability,
 tree-graph, and the (n-1)-normalised variant), the coefficient recursion
@@ -20,17 +27,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .graphs import CapExceededError
 from .potentials import PairPotentialSpec, is_nonnegative, potential_eval
-from .ursell import INF, InteractionMatrix, ursell_graph_sum
+from .ursell import INF
 
-N_MAX_CAP = 6
+N_MAX_CAP = 16
 VOLUME_CAP = 64
+STATE_CAP = 1 << 16  # live frontier states of the transfer
 KS_CAP = 40
 
 VIRIAL_NUMERATOR = 0.14477  # published constant; the true supremum is 0.144766998...
@@ -105,6 +111,88 @@ def lattice_integrals(volume: DiscreteVolume, spec: PairPotentialSpec, beta: flo
     return c, ct
 
 
+def _last_partner(vals: list[list[float]], order: list[int]) -> list[int]:
+    """Per position p in the order: the last position of a site interacting
+    with order[p], or p itself when no later site does."""
+    pos = {site: p for p, site in enumerate(order)}
+    return [
+        max([p] + [pos[j] for j in range(len(order)) if j != i and vals[i][j] != 0.0])
+        for p, i in enumerate(order)
+    ]
+
+
+def _site_order(volume: DiscreteVolume, vals: list[list[float]]) -> tuple[list[int], int]:
+    """The site order with the narrowest frontier among the given order and
+    the coordinate sorts (each axis first in turn), with that width: the
+    most processed sites that still interact with a later one."""
+    m = volume.size
+    orders = [list(range(m))] + [
+        sorted(range(m), key=lambda i, a=a: volume.sites[i][a:] + volume.sites[i][:a])
+        for a in range(len(volume.sites[0]))
+    ]
+    best: tuple[list[int], int] | None = None
+    for order in orders:
+        last = _last_partner(vals, order)
+        width = max(sum(1 for q in range(p + 1) if last[q] > p) for p in range(m))
+        if best is None or width < best[1]:
+            best = (order, width)
+    return best
+
+
+def _grand_partition(vals: list[list[float]], order: list[int], n_max: int) -> list:
+    """Coefficients a_0..a_n_max of Xi(z) = sum_S z^|S| e^(-U(S)) by the
+    site-by-site transfer.
+
+    Each state maps the occupied frontier sites (a bitmask) to the weights of
+    its configurations by particle number.  Weights are Python ints while
+    every energy is 0, exact Fractions of the float Boltzmann weights after.
+    """
+    retire = [0] * len(order)  # frontier bits dropped after position p
+    for i, last in zip(order, _last_partner(vals, order)):
+        retire[last] |= 1 << i
+    states: dict[int, list] = {0: [1] + [0] * n_max}
+    for p, i in enumerate(order):
+        blocked = 0
+        soft = []
+        for j in order[:p]:
+            if vals[i][j] == INF:
+                blocked |= 1 << j
+            elif vals[i][j] != 0.0:
+                soft.append((1 << j, vals[i][j]))
+        keep = ~retire[p]
+        nxt: dict[int, list] = {}
+
+        def add(key: int, poly: list) -> None:
+            got = nxt.get(key & keep)
+            nxt[key & keep] = poly if got is None else [x + y for x, y in zip(got, poly)]
+
+        for mask, poly in states.items():
+            add(mask, poly)
+            if mask & blocked or not any(poly[:-1]):
+                continue  # site i is excluded, or every configuration is full
+            e = sum(v for b, v in soft if mask & b)
+            if e == 0.0:
+                add(mask | 1 << i, [0] + poly[:-1])
+                continue
+            try:
+                w = Fraction(math.exp(-e))
+            except OverflowError:
+                raise ValueError(f"Boltzmann weight e^{-e:.6g} overflows a float") from None
+            add(mask | 1 << i, [0] + [c * w for c in poly[:-1]])
+        states = nxt
+    (poly,) = states.values()  # every site has left the frontier
+    return poly
+
+
+def _log_series(a: list) -> list[Fraction]:
+    """h_0..h_N of log(sum a_k z^k) for a_0 = 1, by k h_k = k a_k -
+    sum_(j<k) j h_j a_(k-j)."""
+    h = [Fraction(0)] * len(a)
+    for k in range(1, len(a)):
+        h[k] = (k * a[k] - sum(j * h[j] * a[k - j] for j in range(1, k))) / Fraction(k)
+    return h
+
+
 def mayer_coefficients(
     volume: DiscreteVolume,
     spec: PairPotentialSpec,
@@ -116,67 +204,42 @@ def mayer_coefficients(
     """Exact coefficients C_1..C_n_max on a discrete volume.
 
     Requires an on-site hard core (V(0) = +inf) so multiple occupation of a
-    site is forbidden.  Matrices with all values in {0, +inf} are evaluated in
-    exact rational arithmetic.
+    site is forbidden.  Matrices with all values in {0, +inf} give exact
+    Fractions; the rest are exact rationals rounded once to floats.  The
+    transfer is refused when its frontier could hold more than STATE_CAP
+    states.
     """
     if n_max > N_MAX_CAP:
         raise ValueError(f"n_max capped at {N_MAX_CAP}")
-    if volume.size > VOLUME_CAP:
-        raise ValueError(f"volume capped at {VOLUME_CAP} sites")
+    if not 0 < volume.size <= VOLUME_CAP:
+        raise ValueError(f"volume must hold 1 to {VOLUME_CAP} sites")
     if potential_eval(spec, 0.0) != INF:
         raise ValueError("spec must carry an on-site hard core: V(0) = +inf")
     if B is None and is_nonnegative(spec):
         B = 0.0
     vals = _site_matrix(volume, spec, beta)
     m = volume.size
+    top = max(n_max, 1)  # C_1 is always reported
+    order, width = _site_order(volume, vals)
+    bound = sum(math.comb(width, k) for k in range(min(top, width) + 1))
+    if bound > STATE_CAP:
+        raise CapExceededError(
+            f"Mayer transfer capped at {STATE_CAP} frontier states: a frontier of {width} "
+            f"sites could hold {bound} at n_max = {top}"
+        )
     hard = all(v == 0.0 or v == INF for row in vals for v in row)
     c_lat, ct_lat = lattice_integrals(volume, spec, beta)
-
-    records = [
-        MayerCoefficientRecord(
-            1, Fraction(1) if hard else 1.0, None, None, None,
-            {"beta": beta, "B": B, "Bbar": Bbar, "C": c_lat, "Ctilde": ct_lat},
-        )
-    ]
+    h = _log_series(_grand_partition(vals, order, top))
+    try:
+        values = [h[n] / m if hard else float(h[n] / m) for n in range(1, top + 1)]
+    except OverflowError:
+        raise ValueError("a Mayer coefficient overflows a float") from None
+    inputs = {"beta": beta, "B": B, "Bbar": Bbar, "C": c_lat, "Ctilde": ct_lat}
+    records = [MayerCoefficientRecord(1, values[0], None, None, None, dict(inputs))]
     for n in range(2, n_max + 1):
-        total = Fraction(0) if hard else 0.0
-        cache: dict[tuple, object] = {}
-        for combo in combinations_with_replacement(range(m), n):
-            pair_vals = tuple(
-                vals[combo[a]][combo[b]] for a in range(n) for b in range(a + 1, n)
-            )
-            phi = cache.get(pair_vals)
-            if phi is None:
-                phi = ursell_graph_sum(InteractionMatrix(n, pair_vals))
-                cache[pair_vals] = phi
-            if not phi:
-                continue
-            denom = _multiplicity_factorial(combo)
-            if hard:
-                total += Fraction(phi, denom)
-            else:
-                total += phi / denom
-        value = total / m
         pr, py, bas = mayer_bounds(n, beta, B, Bbar, c_lat, ct_lat)
-        records.append(
-            MayerCoefficientRecord(
-                n, value, pr, py, bas,
-                {"beta": beta, "B": B, "Bbar": Bbar, "C": c_lat, "Ctilde": ct_lat},
-            )
-        )
+        records.append(MayerCoefficientRecord(n, values[n - 1], pr, py, bas, dict(inputs)))
     return records
-
-
-def _multiplicity_factorial(combo: Sequence[int]) -> int:
-    denom = 1
-    run = 1
-    for a in range(1, len(combo)):
-        if combo[a] == combo[a - 1]:
-            run += 1
-            denom *= run
-        else:
-            run = 1
-    return denom
 
 
 def mayer_bounds(
@@ -337,6 +400,8 @@ def virial_max_golden(tol: float = 1e-12) -> tuple[float, float]:
 
 def virial_max_newton(tol: float = 1e-14) -> tuple[float, float]:
     """Same maximum through the stationarity condition 2 e^(-w) (1 - w) = 1."""
+    from scipy.optimize import brentq
+
     w = brentq(lambda w: 2.0 * math.exp(-w) * (1.0 - w) - 1.0, 1e-9, math.log(2.0), xtol=tol)
     return w, virial_objective(w)
 

@@ -243,6 +243,17 @@ def _phi_hardcore(sys: PolymerSystem, gammas: Sequence[Polymer],
     return got
 
 
+def _multiplicity_factorial(combo: Sequence) -> int:
+    """Product of mult! over the runs of equal neighbours in a sorted tuple:
+    the ordered tuples a multiset stands for are n! / this."""
+    denom = 1
+    run = 1
+    for a in range(1, len(combo)):
+        run = run + 1 if combo[a] == combo[a - 1] else 1
+        denom *= run
+    return denom
+
+
 def cluster_log_truncated(sys: PolymerSystem, region: Iterable[Polymer] | None = None,
                           order: int = 4) -> ActivityPolynomial:
     """Truncation of log Xi as a polynomial in the activities.
@@ -261,17 +272,8 @@ def cluster_log_truncated(sys: PolymerSystem, region: Iterable[Polymer] | None =
     for n in range(1, order + 1):
         for combo in combinations_with_replacement(region, n):
             phi = _phi_hardcore(sys, combo, cache)
-            if not phi:
-                continue
-            denom = 1
-            run = 1
-            for a in range(1, n):
-                if combo[a] == combo[a - 1]:
-                    run += 1
-                    denom *= run
-                else:
-                    run = 1
-            poly.add_monomial(combo, Fraction(phi, denom))
+            if phi:
+                poly.add_monomial(combo, Fraction(phi, _multiplicity_factorial(combo)))
     return poly
 
 
@@ -303,18 +305,10 @@ def pinned_series(sys: PolymerSystem, gamma0: Polymer, order: int,
             phi = _phi_hardcore(sys, (gamma0,) + combo, cache)
             if not phi:
                 continue
-            denom = 1
-            run = 1
-            for a in range(1, n):
-                if combo[a] == combo[a - 1]:
-                    run += 1
-                    denom *= run
-                else:
-                    run = 1
             weight = 1.0
             for g in combo:
                 weight *= rho_map[g]
-            term += abs(phi) / denom * weight
+            term += abs(phi) / _multiplicity_factorial(combo) * weight
         partials.append(partials[-1] + term)
     return PinnedSeries(gamma0, partials)
 
@@ -397,26 +391,35 @@ def criteria(inp: CriterionInput) -> dict[Polymer, CriterionRadii]:
     (the strongest).  Pointwise r_fp >= r_dob >= r_kp.
     """
     sys = inp.system
-    mu = inp.mu
-    out = {}
-    for g in sys.polymers:
-        nbh = sys.neighborhood(g)
-        s = sum(mu[h] for h in nbh)
+    return {
+        g: CriterionRadii(
+            r_kp=criterion_radius(sys, g, inp.mu, "kp"),
+            r_dob=criterion_radius(sys, g, inp.mu, "dob"),
+            r_fp=criterion_radius(sys, g, inp.mu, "fp"),
+            fp_exact=len(sys.neighborhood(g)) <= FP_NEIGHBOR_CAP,
+        )
+        for g in sys.polymers
+    }
+
+
+def criterion_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float],
+                     which: str) -> float:
+    """One polymer's radius mu_g / phi(mu) for one condition: "kp"
+    (exponential), "dob" (product) or "fp" (neighborhood partition function,
+    bounded from above past FP_NEIGHBOR_CAP neighbors)."""
+    nbh = sys.neighborhood(g)
+    if which == "kp":
+        return mu[g] / math.exp(sum(mu[h] for h in nbh))
+    if which == "dob":
         prod = 1.0
         for h in nbh:
             prod *= 1.0 + mu[h]
-        fp_exact = len(nbh) <= FP_NEIGHBOR_CAP
-        if fp_exact:
-            xi = abs(partition_function(sys, nbh, activities=mu))
-        else:
-            xi = _fp_fallback_bound(sys, g, nbh, mu)
-        out[g] = CriterionRadii(
-            r_kp=mu[g] / math.exp(s),
-            r_dob=mu[g] / prod,
-            r_fp=mu[g] / xi,
-            fp_exact=fp_exact,
-        )
-    return out
+        return mu[g] / prod
+    if which == "fp":
+        if len(nbh) <= FP_NEIGHBOR_CAP:
+            return mu[g] / abs(partition_function(sys, nbh, activities=mu))
+        return mu[g] / _fp_fallback_bound(sys, g, nbh, mu)
+    raise ValueError(f"unknown criterion {which!r}; known: kp, dob, fp")
 
 
 def _fp_fallback_bound(sys: PolymerSystem, g: Polymer, nbh: frozenset, mu) -> float:
@@ -435,9 +438,9 @@ def _fp_fallback_bound(sys: PolymerSystem, g: Polymer, nbh: frozenset, mu) -> fl
 
 
 def constant_mu_radius(sys: PolymerSystem, polymer: Polymer, which: str, mu: float) -> float:
-    inp = CriterionInput(sys, {g: mu for g in sys.polymers})
-    r = criteria(inp)[polymer]
-    return {"kp": r.r_kp, "dob": r.r_dob, "fp": r.r_fp}[which]
+    """The chosen radius of one polymer under the constant trial weight mu."""
+    inp = CriterionInput(sys, dict.fromkeys(sys.polymers, mu))
+    return criterion_radius(sys, polymer, inp.mu, which)
 
 
 def optimize_constant_mu(sys: PolymerSystem, polymer: Polymer, which: str,

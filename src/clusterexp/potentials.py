@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
 INF = math.inf
 
@@ -408,6 +406,8 @@ def fcc_witness(shells: int) -> FccWitness:
     pts = fcc_points(shells)
     if len(pts) < 2:
         return FccWitness(pts, 0, len(pts), shells)
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     bonds = tree.query_pairs(1.0 + 1e-9)
     return FccWitness(pts, len(bonds), len(pts), shells)
@@ -531,6 +531,8 @@ def regularity_integrals(spec: PairPotentialSpec, beta: float,
         segments = sorted(set(segments))
         infinite_tail = True
 
+    from scipy.integrate import quad
+
     def integrate(f) -> float:
         total = 0.0
         for a, b in zip(segments[:-1], segments[1:]):
@@ -601,6 +603,8 @@ def negative_part_envelope_integral(spec: PairPotentialSpec) -> float:
             env += depth_beyond[k] * (sphere_volume(d, rk) - sphere_volume(d, prev))
             prev = rk
         return env
+    from scipy.integrate import quad
+
     if f == "lj_type":
         power = d + p["eps"]
         a0, c2 = p["a"], p["c2"]

@@ -156,6 +156,10 @@ class TestHarness:
         (["ursell"], "need --matrix"),
         (["polymer", "criteria", "--model", "hexagon"], "unknown model"),
         (["ursell", "--matrix", "2; 0 1 -inf"], "-inf"),
+        (["ursell", "--matrix", "7; " + "; ".join(f"{i} {j} -40" for i in range(7)
+                                                 for j in range(i + 1, 7))], "overflows"),
+        (["mayer", "coefficients", "--grid", "8x8", "--params", "a=20", "--n-max", "16"],
+         "frontier states"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert main(argv) == 2

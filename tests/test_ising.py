@@ -103,6 +103,30 @@ class TestLowTemperature:
         rep = I.low_T_contour_Z(3, 0.5)
         assert rep.min_contour_size == 4
 
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_cached_identity_matches_per_configuration_loop(self, L):
+        # oracle: every configuration, energy from the neighbours of each
+        # site (outside the box reads +1), perimeter from the contours
+        ok, sizes = True, []
+        for cfg in range(1 << (L * L)):
+            spins = np.array([1 - 2 * (cfg >> k & 1) for k in range(L * L)]).reshape(L, L)
+            pair_sum = 0
+            for r in range(L):
+                for c in range(L):
+                    s = spins[r, c]
+                    if c + 1 < L:
+                        pair_sum += s * spins[r, c + 1]
+                    if r + 1 < L:
+                        pair_sum += s * spins[r + 1, c]
+                    pair_sum += s * ((r == 0) + (r == L - 1) + (c == 0) + (c == L - 1))
+            contours = I.spins_to_contours(spins.ravel(), L)
+            ok &= pair_sum == 2 * L * (L + 1) - 2 * sum(len(g) for g in contours)
+            sizes.extend(len(g) for g in contours)
+        for bj, J in ((0.3, 1.0), (1.2, 0.5), (0.7, 2.0)):
+            rep = I.low_T_contour_Z(L, bj, J)
+            assert (rep.energy_identity_ok, rep.min_contour_size) == (ok, min(sizes))
+        assert ok and min(sizes) == 4
+
     def test_all_plus_has_no_contours(self):
         spins = np.ones(9, dtype=int)
         assert I.spins_to_contours(spins, 3) == []

@@ -1,11 +1,53 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from clusterexp import mayer as M
 from clusterexp import potentials as P
+from clusterexp.graphs import CapExceededError
+from clusterexp.polymer import _multiplicity_factorial
+from clusterexp.ursell import INF, InteractionMatrix, ursell_graph_sum
+
+STEP = P.step_table([0.5, 1.0], [math.inf, -0.3])
+CORED_WELL = P.square_well(math.inf, 0.5, 1.0)  # on-site core, -1 out to the diagonal
+
+
+def multiset_oracle(volume, spec, beta: float, n_max: int) -> list:
+    """Oracle: C_n = (1 / (n! |volume|)) sum over n-tuples of sites of Phi,
+    grouped by multiset, with Phi from the Ursell graph sum; exact Fractions
+    when every pair value is 0 or +inf."""
+    m = volume.size
+    vals = [[INF] * m for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        v = P.potential_eval(spec, volume.distance(i, j))
+        vals[i][j] = vals[j][i] = v if v == INF else beta * v
+    hard = all(v in (0.0, INF) for row in vals for v in row)
+    out = [Fraction(1) if hard else 1.0]
+    for n in range(2, n_max + 1):
+        total = Fraction(0) if hard else 0.0
+        phis: dict = {}
+        for combo in combinations_with_replacement(range(m), n):
+            key = tuple(vals[combo[a]][combo[b]] for a, b in combinations(range(n), 2))
+            phi = phis.get(key)
+            if phi is None:
+                phi = phis[key] = ursell_graph_sum(InteractionMatrix(n, key))
+            if phi:
+                denom = _multiplicity_factorial(combo)
+                total += Fraction(phi, denom) if hard else phi / denom
+        out.append(total / m)
+    return out
+
+
+def random_volumes(count: int = 8, sites: int = 6, seed: int = 17):
+    rng = random.Random(seed)
+    for _ in range(count):
+        pts = set()
+        while len(pts) < sites:
+            pts.add((rng.randrange(4), rng.randrange(4)))
+        yield M.DiscreteVolume(tuple((float(x), float(y)) for x, y in pts))
 
 
 def independent_set_polynomial(adjacency: dict[int, set[int]], m: int) -> list[Fraction]:
@@ -77,12 +119,7 @@ class TestCoefficients:
             assert r.value == series[r.n]
 
     def test_bounds_dominate_on_random_volumes(self):
-        rng = random.Random(17)
-        for _ in range(8):
-            pts = set()
-            while len(pts) < 6:
-                pts.add((rng.randrange(4), rng.randrange(4)))
-            vol = M.DiscreteVolume(tuple((float(x), float(y)) for x, y in pts))
+        for vol in random_volumes():
             recs = M.mayer_coefficients(vol, P.hard_core(1.0), 1.0, 4)
             for r in recs[1:]:
                 assert r.within_bounds(), r
@@ -96,6 +133,108 @@ class TestCoefficients:
         recs = M.mayer_coefficients(vol, P.hard_core(1.0), 1.0, 4)
         for r in recs:
             assert (-1) ** (r.n - 1) * r.value >= 0
+
+
+class TestTransfer:
+    """The grand-partition transfer against the multiset graph-sum oracle."""
+
+    @pytest.mark.parametrize("vol,n_max", [
+        (M.DiscreteVolume.path(2), 6),
+        (M.DiscreteVolume.path(7), 6),
+        (M.DiscreteVolume.grid(2, 3), 6),
+        (M.DiscreteVolume.grid(3, 3), 6),
+        (M.DiscreteVolume.grid(3, 4, spacing=0.8), 5),
+        (M.DiscreteVolume.grid(4, 4), 6),
+    ])
+    def test_hard_core_identical_fractions(self, vol, n_max):
+        got = [r.value for r in M.mayer_coefficients(vol, P.hard_core(1.0), 1.0, n_max)]
+        assert got == multiset_oracle(vol, P.hard_core(1.0), 1.0, n_max)
+        assert all(type(v) is Fraction for v in got)
+
+    def test_hard_core_random_volumes(self):
+        for vol in random_volumes():
+            got = [r.value for r in M.mayer_coefficients(vol, P.hard_core(1.0), 1.0, 6)]
+            assert got == multiset_oracle(vol, P.hard_core(1.0), 1.0, 6)
+
+    def test_published_grids(self):
+        # 4x4 as in the benchmark; 5x5 agreed with the multiset oracle exactly
+        # (too slow for this suite)
+        recs = M.mayer_coefficients(M.DiscreteVolume.grid(4, 4), P.hard_core(1.0), 1.0, 6)
+        assert [r.value for r in recs] == [Fraction(1), Fraction(-2), Fraction(79, 12),
+                                           Fraction(-427, 16), Fraction(606, 5),
+                                           Fraction(-14161, 24)]
+        recs = M.mayer_coefficients(M.DiscreteVolume.grid(5, 5), P.hard_core(1.0), 1.0, 6)
+        assert [r.value for r in recs] == [Fraction(1), Fraction(-21, 10), Fraction(547, 75),
+                                           Fraction(-3129, 100), Fraction(3776, 25),
+                                           Fraction(-39281, 50)]
+
+    @pytest.mark.parametrize("spec,beta,n_max", [(STEP, 1.1, 6), (CORED_WELL, 0.7, 5)])
+    def test_soft_tables_close(self, spec, beta, n_max):
+        vol = M.DiscreteVolume.grid(3, 3)
+        got = [r.value for r in M.mayer_coefficients(vol, spec, beta, n_max)]
+        want = multiset_oracle(vol, spec, beta, n_max)
+        assert all(type(v) is float for v in got)
+        for g, w in zip(got, want, strict=True):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-300)
+        again = [r.value for r in M.mayer_coefficients(vol, spec, beta, n_max)]
+        assert again == got  # bit for bit
+
+    def test_site_order_does_not_matter(self):
+        vol = M.DiscreteVolume.grid(3, 4)
+        shuffled = list(vol.sites)
+        random.Random(5).shuffle(shuffled)
+        for spec in (P.hard_core(1.5), CORED_WELL):
+            a = [r.value for r in M.mayer_coefficients(vol, spec, 0.9, 6)]
+            b = [r.value for r in M.mayer_coefficients(M.DiscreteVolume(tuple(shuffled)), spec, 0.9, 6)]
+            assert b == pytest.approx(a, rel=1e-13)
+
+    def test_one_site_volume(self):
+        vol = M.DiscreteVolume(((0.0, 0.0),))
+        recs = M.mayer_coefficients(vol, CORED_WELL, 1.0, 6)
+        assert [r.value for r in recs] == [Fraction((-1) ** (n - 1), n) for n in range(1, 7)]
+
+    @pytest.mark.parametrize("spec,want", [(P.hard_core(1.0), Fraction(1)), (STEP, 1.0)])
+    def test_n_max_one(self, spec, want):
+        recs = M.mayer_coefficients(M.DiscreteVolume.grid(3, 3), spec, 1.0, 1)
+        assert len(recs) == 1 and recs[0].n == 1
+        assert recs[0].value == want and type(recs[0].value) is type(want)
+        assert (recs[0].bound_pr, recs[0].bound_py, recs[0].bound_basuev) == (None, None, None)
+
+    def test_empty_volume_refused(self):
+        with pytest.raises(ValueError, match="1 to 64 sites"):
+            M.mayer_coefficients(M.DiscreteVolume(()), P.hard_core(1.0), 1.0, 2)
+
+    def test_overflowing_weight_refused(self):
+        # each pair weight e^400 is finite; three mutual neighbours are not
+        deep = P.step_table([0.5, 2.5], [math.inf, -400.0])
+        M.mayer_coefficients(M.DiscreteVolume.path(3), deep, 1.0, 2)
+        with pytest.raises(ValueError, match="overflows a float"):
+            M.mayer_coefficients(M.DiscreteVolume.path(3), deep, 1.0, 3)
+
+
+class TestCaps:
+    def test_bounds_hold_to_order_twelve(self):
+        recs = M.mayer_coefficients(M.DiscreteVolume.grid(6, 6), P.hard_core(1.0), 1.0, 12)
+        assert len(recs) == 12
+        for r in recs[1:]:
+            assert r.within_bounds(), r
+        # the bounds bite: the largest ratio to the tightest bound is 13/15
+        ratio = max(abs(r.value) / min(b for b in (r.bound_pr, r.bound_py) if b is not None)
+                    for r in recs[1:])
+        assert 0.8 < ratio < 1
+
+    def test_n_max_cap(self):
+        assert M.N_MAX_CAP == 16
+        M.mayer_coefficients(M.DiscreteVolume.grid(3, 3), P.hard_core(1.0), 1.0, 16)
+        with pytest.raises(ValueError, match="n_max capped at 16"):
+            M.mayer_coefficients(M.DiscreteVolume.grid(3, 3), P.hard_core(1.0), 1.0, 17)
+
+    def test_state_cap_refuses_long_range(self):
+        # every pair interacts: the frontier grows to 63 sites
+        with pytest.raises(CapExceededError, match="capped at 65536 frontier states") as exc:
+            M.mayer_coefficients(M.DiscreteVolume.grid(8, 8), P.hard_core(20.0), 1.0, 16)
+        assert "frontier of 63 sites" in str(exc.value)
+        assert isinstance(exc.value, ValueError)
 
 
 class TestBounds:

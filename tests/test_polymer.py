@@ -212,6 +212,27 @@ class TestCriteria:
                                    activities={g: c for g in s.polymers})
         assert xi == pytest.approx(1 + 7 * c + 9 * c**2 + 2 * c**3, rel=1e-12)
 
+    @pytest.mark.parametrize("model", ["domino", "triangular", "star30"])
+    def test_one_polymer_radius_matches_criteria(self, model):
+        s = {"domino": lambda: PL.domino_system(5, 5),
+             "triangular": lambda: PL.triangular_window(2),
+             "star30": lambda: PL.delta_regular_system(30)}[model]()
+        for c in (1e-3, 0.05, 1 / 3, 2.5):
+            full = PL.criteria(PL.CriterionInput(s, {g: c for g in s.polymers}))
+            for g in s.polymers:
+                r = full[g]
+                assert r.fp_exact == (len(s.neighborhood(g)) <= PL.FP_NEIGHBOR_CAP)
+                for which, field in (("kp", r.r_kp), ("dob", r.r_dob), ("fp", r.r_fp)):
+                    assert PL.constant_mu_radius(s, g, which, c) == field  # bit for bit
+        assert not full["c"].fp_exact if model == "star30" else all(r.fp_exact for r in full.values())
+
+    def test_one_polymer_radius_refusals(self):
+        s = PL.triangular_window(1)
+        with pytest.raises(ValueError, match="unknown criterion"):
+            PL.constant_mu_radius(s, (0, 0), "shearer", 0.1)
+        with pytest.raises(ValueError, match="positive"):
+            PL.constant_mu_radius(s, (0, 0), "kp", 0.0)
+
     def test_regular_graph_closed_forms(self):
         assert PL.regular_graph_thresholds(2)[0] == pytest.approx(1 / (3 * math.e), abs=1e-15)
         assert PL.regular_graph_thresholds(4)[2] == pytest.approx(27 / 283, abs=1e-15)
