@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mayer import _golden_max
 from .potentials import sphere_volume
 
 G2_TABLE_CUTOFF = 6  # g(2, s) = 0 for s >= 6: six pairwise-far points do not fit
@@ -145,21 +146,7 @@ def improved_radius(gtable=None, tol: float = 1e-12) -> ImprovedRadius:
     grid = np.linspace(1e-6, 10.0, 4001)
     vals = [f(m) for m in grid]
     k = int(max(range(len(vals)), key=vals.__getitem__))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    dd = a + phi * (b - a)
-    fc, fd = f(c), f(dd)
-    while b - a > tol:
-        if fc > fd:
-            b, dd, fd = dd, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + phi * (b - a)
-            fd = f(dd)
-    m = 0.5 * (a + b)
+    m = _golden_max(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol)
     return ImprovedRadius(m, f(m), classical_radius_coefficient(), gtable)
 
 

@@ -105,7 +105,10 @@ def lattice_integrals(volume: DiscreteVolume, spec: PairPotentialSpec, beta: flo
     m = volume.size
     c = ct = 0.0
     for i in range(m):
-        si = sum(1.0 if vals[i][j] == INF else abs(math.expm1(-vals[i][j])) for j in range(m))
+        try:
+            si = sum(1.0 if vals[i][j] == INF else abs(math.expm1(-vals[i][j])) for j in range(m))
+        except OverflowError:
+            raise ValueError("a Boltzmann factor overflows a float in the lattice integrals") from None
         ti = sum(1.0 if vals[i][j] == INF else -math.expm1(-abs(vals[i][j])) for j in range(m))
         c, ct = max(c, si), max(ct, ti)
     return c, ct
@@ -373,28 +376,32 @@ def virial_objective(w: float) -> float:
     return w * (2.0 * math.exp(-w) - 1.0)
 
 
+def _golden_max(f, a: float, b: float, tol: float) -> float:
+    """Midpoint of the golden-section search for the maximum of f on a bracket
+    [a, b], stopped once b - a <= tol * max(1, a)."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol * max(1.0, a):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def virial_max_golden(tol: float = 1e-12) -> tuple[float, float]:
     """Maximise w(2 e^(-w) - 1) on (0, ln 2): dense grid then golden section."""
     lo, hi = 1e-12, math.log(2.0) - 1e-12
     grid = np.linspace(lo, hi, 20001)
     vals = grid * (2.0 * np.exp(-grid) - 1.0)
     k = int(vals.argmax())
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = virial_objective(c), virial_objective(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = virial_objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = virial_objective(d)
-    w = 0.5 * (a + b)
+    w = _golden_max(virial_objective, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol)
     return w, virial_objective(w)
 
 

@@ -2,8 +2,9 @@
 
 Polymers interact only through a symmetric incompatibility relation (a pure
 hard core), so the grand-canonical sum over a finite volume is the
-independence polynomial of the incompatibility graph.  On top of the exact
-machinery sit the truncated cluster series, the pinned absolute series, the
+independence polynomial of the incompatibility graph.  One memoised deletion
+recursion computes it for numbers, activity monomials and exact series (the
+pinned absolute series).  On top sit the truncated cluster series, the
 monotone fixed-point iteration, and the three classical sufficient conditions
 for convergence -- exponential (Kotecky-Preiss), product (Dobrushin) and
 neighborhood-partition-function (Fernandez-Procacci) -- each with its
@@ -21,11 +22,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+from .graphs import CapExceededError
+from .mayer import _golden_max
 from .ursell import INF, InteractionMatrix, ursell_graph_sum
 
-VOLUME_CAP = 30
+VOLUME_CAP = 128  # polymers per region; also bounds the recursion depth
+STATE_CAP = 1 << 16  # memo states of the deletion recursion
 CLUSTER_ORDER_CAP = 6
-PINNED_ORDER_CAP = 5
+PINNED_ORDER_CAP = 16
 FP_NEIGHBOR_CAP = 25
 SUBSET_VERTEX_CAP = 12
 
@@ -52,6 +56,8 @@ class PolymerSystem:
             for g in self.polymers:
                 nbrs[g].add(g)
         self._nbrs = {g: frozenset(s) for g, s in nbrs.items()}
+        self._index = index
+        self._nbr_masks = [sum(1 << index[h] for h in nbrs[g]) for g in self.polymers]
 
     def incompatible(self, a: Polymer, b: Polymer) -> bool:
         return b in self._nbrs[a]
@@ -85,36 +91,61 @@ def system_from_adjacency_text(text: str, reflexive: bool = True) -> PolymerSyst
     return PolymerSystem(activities, pairs, reflexive=reflexive)
 
 
+def _region_mask(sys: PolymerSystem, region: Iterable[Polymer] | None) -> int:
+    """The region as a bitmask over ``sys.polymers`` (all of them for None)."""
+    if region is None:
+        return (1 << len(sys.polymers)) - 1
+    return sum(1 << sys._index[g] for g in set(region))
+
+
+def _independence(sys: PolymerSystem, regions: Sequence[int], z: Sequence, one) -> list:
+    """Xi of each region (a bitmask over ``sys.polymers``) by the memoised
+    deletion recursion Xi(R) = Xi(R - g) + z_g Xi(R - N[g]), g the lowest
+    polymer of R, with Xi(empty) = ``one``.  The values need only ``+`` and
+    ``z_g * value``; one memo serves all the regions."""
+    if not sys.reflexive:
+        raise ValueError("exact partition functions need the reflexive hard core")
+    if any(r.bit_count() > VOLUME_CAP for r in regions):
+        raise ValueError(f"region capped at {VOLUME_CAP} polymers")
+    nbr = sys._nbr_masks
+    memo = {0: one}
+
+    def xi(r: int):
+        got = memo.get(r)
+        if got is not None:
+            return got
+        k = (r & -r).bit_length() - 1
+        val = xi(r & (r - 1)) + z[k] * xi(r & ~nbr[k])
+        if len(memo) > STATE_CAP:
+            raise CapExceededError(f"independence recursion capped at {STATE_CAP} memo states")
+        memo[r] = val
+        return val
+
+    return [xi(r) for r in regions]
+
+
 def partition_function(sys: PolymerSystem, region: Iterable[Polymer] | None = None,
                        activities: Mapping[Polymer, complex] | None = None) -> complex:
     """Exact grand-canonical sum over the region: the weighted independence
     polynomial of the incompatibility graph, via the deletion recursion
     Xi(R) = Xi(R - g) + z_g Xi(R - N[g])."""
-    region = frozenset(sys.polymers if region is None else region)
-    if len(region) > VOLUME_CAP:
-        raise ValueError(f"region capped at {VOLUME_CAP} polymers")
-    if not sys.reflexive:
-        raise ValueError("exact partition functions need the reflexive hard core")
-    z = sys.activity if activities is None else activities
-    order = {g: k for k, g in enumerate(sys.polymers)}
-    memo: dict[frozenset, complex] = {}
-
-    def xi(r: frozenset) -> complex:
-        if not r:
-            return 1.0
-        got = memo.get(r)
-        if got is not None:
-            return got
-        g = min(r, key=order.get)
-        val = xi(r - {g}) + z[g] * xi(r - sys.neighborhood(g))
-        memo[r] = val
-        return val
-
-    return xi(region)
+    acts = sys.activity if activities is None else activities
+    mask = _region_mask(sys, region)
+    z = [acts[g] if mask >> k & 1 else None for k, g in enumerate(sys.polymers)]
+    return _independence(sys, [mask], z, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------
 # Polynomials in the activities
+
+
+def _monomial_key(powers: Iterable[tuple[Polymer, int]]) -> tuple:
+    """The key of prod z_g^k from (g, k) pairs: repeated g merged, sorted by
+    repr(g)."""
+    key: dict = {}
+    for g, k in powers:
+        key[g] = key.get(g, 0) + k
+    return tuple(sorted(key.items(), key=lambda kv: repr(kv[0])))
 
 
 class ActivityPolynomial:
@@ -131,17 +162,10 @@ class ActivityPolynomial:
 
     @classmethod
     def monomial(cls, polymers: Sequence[Polymer], coeff) -> "ActivityPolynomial":
-        key: dict = {}
-        for g in polymers:
-            key[g] = key.get(g, 0) + 1
-        mono = tuple(sorted(key.items(), key=lambda kv: repr(kv[0])))
-        return cls({mono: coeff})
+        return cls({_monomial_key((g, 1) for g in polymers): coeff})
 
     def add_monomial(self, polymers: Sequence[Polymer], coeff) -> None:
-        key: dict = {}
-        for g in polymers:
-            key[g] = key.get(g, 0) + 1
-        mono = tuple(sorted(key.items(), key=lambda kv: repr(kv[0])))
+        mono = _monomial_key((g, 1) for g in polymers)
         self.terms[mono] = self.terms.get(mono, 0) + coeff
         if not self.terms[mono]:
             del self.terms[mono]
@@ -157,12 +181,8 @@ class ActivityPolynomial:
     def __mul__(self, other: "ActivityPolynomial") -> "ActivityPolynomial":
         out: dict = {}
         for m1, c1 in self.terms.items():
-            d1 = dict(m1)
             for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for g, k in m2:
-                    d[g] = d.get(g, 0) + k
-                mono = tuple(sorted(d.items(), key=lambda kv: repr(kv[0])))
+                mono = _monomial_key(m1 + m2)
                 out[mono] = out.get(mono, 0) + c1 * c2
                 if not out[mono]:
                     del out[mono]
@@ -189,11 +209,7 @@ class ActivityPolynomial:
         return total
 
     def coefficient(self, polymers: Sequence[Polymer]):
-        key: dict = {}
-        for g in polymers:
-            key[g] = key.get(g, 0) + 1
-        mono = tuple(sorted(key.items(), key=lambda kv: repr(kv[0])))
-        return self.terms.get(mono, 0)
+        return self.terms.get(_monomial_key((g, 1) for g in polymers), 0)
 
     def __eq__(self, other):
         return isinstance(other, ActivityPolynomial) and self.terms == other.terms
@@ -205,24 +221,11 @@ class ActivityPolynomial:
 def xi_polynomial(sys: PolymerSystem, region: Iterable[Polymer] | None = None) -> ActivityPolynomial:
     """The exact partition function as a multilinear polynomial: one monomial
     per pairwise-compatible family."""
-    region = sorted(frozenset(sys.polymers if region is None else region), key=repr)
-    if len(region) > 20:
+    mask = _region_mask(sys, region)
+    if mask.bit_count() > 20:  # the output can hold 2^20 monomials
         raise ValueError("polynomial form capped at 20 polymers")
-    poly = ActivityPolynomial.constant(1)
-    families: list[list[Polymer]] = [[]]
-
-    def rec(start: int, chosen: list[Polymer]):
-        for k in range(start, len(region)):
-            g = region[k]
-            if any(sys.incompatible(g, h) for h in chosen):
-                continue
-            chosen.append(g)
-            poly.add_monomial(chosen, 1)
-            rec(k + 1, chosen)
-            chosen.pop()
-
-    rec(0, [])
-    return poly
+    z = [ActivityPolynomial.monomial([g], 1) for g in sys.polymers]
+    return _independence(sys, [mask], z, ActivityPolynomial.constant(1))[0]
 
 
 def _phi_hardcore(sys: PolymerSystem, gammas: Sequence[Polymer],
@@ -287,9 +290,26 @@ class PinnedSeries:
         return self.partials[-1]
 
 
+class _Series(tuple):
+    """Integer power series c_0 + c_1 s + ... truncated at a fixed order: the
+    values of the deletion recursion behind ``pinned_series``, where an int
+    activity c stands for the term c s."""
+
+    def __add__(self, other: "_Series") -> "_Series":
+        return _Series(a + b for a, b in zip(self, other))
+
+    def __rmul__(self, c: int) -> "_Series":
+        return _Series((0, *(c * a for a in self[:-1])))
+
+
 def pinned_series(sys: PolymerSystem, gamma0: Polymer, order: int,
                   rho: Mapping[Polymer, float] | float) -> PinnedSeries:
     """Truncated pinned absolute series sum (1/n!) |phi(g0, g_1..g_n)| rho...
+
+    Hard-core Ursell coefficients alternate in sign, so this is the
+    t-expansion of Xi_(L - N[g0])(-t rho) / Xi_L(-t rho) at t = 1.  Over one
+    common denominator D of the rho_g, both are integer series in s = t / D,
+    the division is exact, and each partial is rounded once.
 
     Partial sums are nondecreasing in the order; for activities inside a
     certified region, rho_g0 times the limit stays below the trial weight.
@@ -297,19 +317,18 @@ def pinned_series(sys: PolymerSystem, gamma0: Polymer, order: int,
     if order > PINNED_ORDER_CAP:
         raise ValueError(f"order capped at {PINNED_ORDER_CAP}")
     rho_map = rho if isinstance(rho, Mapping) else {g: rho for g in sys.polymers}
-    cache: dict[tuple, int] = {}
-    partials = [1.0]
-    for n in range(1, order + 1):
-        term = 0.0
-        for combo in combinations_with_replacement(sorted(sys.polymers, key=repr), n):
-            phi = _phi_hardcore(sys, (gamma0,) + combo, cache)
-            if not phi:
-                continue
-            weight = 1.0
-            for g in combo:
-                weight *= rho_map[g]
-            term += abs(phi) / _multiplicity_factorial(combo) * weight
-        partials.append(partials[-1] + term)
+    fracs = [Fraction(rho_map[g]) for g in sys.polymers]
+    D = math.lcm(*(f.denominator for f in fracs))
+    z = [-f.numerator * (D // f.denominator) for f in fracs]
+    one = _Series((1,) + (0,) * order)
+    full = _region_mask(sys, None)
+    outside = full & ~_region_mask(sys, sys.neighborhood(gamma0))
+    den, num = _independence(sys, [full, outside], z, one)
+    q, partials, acc = [], [], 0
+    for n in range(order + 1):
+        q.append(num[n] - sum(den[j] * q[n - j] for j in range(1, n + 1)))  # num / den; den[0] = 1
+        acc = acc * D + q[n]  # the partial through order n, times D^n
+        partials.append(acc / D**n)
     return PinnedSeries(gamma0, partials)
 
 
@@ -446,7 +465,6 @@ def constant_mu_radius(sys: PolymerSystem, polymer: Polymer, which: str, mu: flo
 def optimize_constant_mu(sys: PolymerSystem, polymer: Polymer, which: str,
                          lo: float = 1e-6, hi: float = 30.0, tol: float = 1e-12) -> tuple[float, float]:
     """Golden-section maximisation of the chosen radius over a constant mu."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
     f = lambda m: constant_mu_radius(sys, polymer, which, m)
     # bracket the maximum on a log grid first
     import numpy as np
@@ -454,21 +472,7 @@ def optimize_constant_mu(sys: PolymerSystem, polymer: Polymer, which: str,
     grid = np.geomspace(lo, hi, 220)
     vals = [f(m) for m in grid]
     k = int(max(range(len(vals)), key=vals.__getitem__))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, a):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    m = 0.5 * (a + b)
+    m = _golden_max(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol)
     return m, f(m)
 
 

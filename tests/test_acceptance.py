@@ -25,17 +25,11 @@ from clusterexp import mayer as M
 from clusterexp import polymer as PL
 from clusterexp import potentials as P
 from clusterexp import ursell as U
+from clusterexp.verify import _random_hardcore, _random_matrix
 
 
 def report(criterion: str, detail: str) -> None:
     print(f"[acceptance] {criterion}: PASS  ({detail})")
-
-
-def random_matrix(n, rng, p_inf=0.25):
-    vals = {}
-    for p in G.vertex_pairs(n):
-        vals[p] = U.INF if rng.random() < p_inf else rng.uniform(-1.5, 3.0)
-    return U.InteractionMatrix(n, vals)
 
 
 class TestCriterion1Identities:
@@ -46,7 +40,7 @@ class TestCriterion1Identities:
         worst = 0.0
         for n in range(2, 7):
             for _ in range(trials_per_n):
-                V = random_matrix(n, rng)
+                V = _random_matrix(n, rng, p_inf=0.25)
                 a = U.ursell_graph_sum(V)
                 b = U.ursell_partition_formula(V)
                 c = U.ursell_tree_identity(V, "penrose")
@@ -64,8 +58,7 @@ class TestCriterion1Identities:
         checked = 0
         for n in range(2, 7):
             for _ in range(40):
-                vals = {p: (U.INF if rng.random() < 0.5 else 0.0) for p in G.vertex_pairs(n)}
-                V = U.InteractionMatrix(n, vals)
+                V = _random_hardcore(n, rng)
                 a = U.ursell_graph_sum(V)
                 assert isinstance(a, int)
                 assert a == U.ursell_partition_formula(V)

@@ -160,6 +160,8 @@ class TestHarness:
                                                  for j in range(i + 1, 7))], "overflows"),
         (["mayer", "coefficients", "--grid", "8x8", "--params", "a=20", "--n-max", "16"],
          "frontier states"),
+        (["mayer", "coefficients", "--family", "square_well", "--params", "A=inf", "R=0.5",
+          "delta=1", "--beta", "800", "--n-max", "3"], "overflows"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert main(argv) == 2

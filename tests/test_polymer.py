@@ -1,10 +1,14 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from clusterexp import polymer as PL
+from clusterexp import ursell as U
+from clusterexp.graphs import CapExceededError
 
 
 def brute_force_xi(sys: PL.PolymerSystem, activities=None) -> float:
@@ -32,6 +36,43 @@ def exp_series(poly: PL.ActivityPolynomial, order: int) -> PL.ActivityPolynomial
         power = (power * poly).truncated(order)
         fact *= k
         out = out + power.scaled(Fraction(1, fact))
+    return out
+
+
+def pinned_oracle(sys: PL.PolymerSystem, gamma0, order: int, rho) -> list[float]:
+    """Oracle: partial sums of sum_n (1/n!) |Phi(g0, g_1..g_n)| rho^n over
+    ordered tuples, grouped by multiset, with Phi the Ursell graph sum of the
+    0/inf interaction matrix."""
+    rho_map = rho if isinstance(rho, dict) else dict.fromkeys(sys.polymers, rho)
+    phis: dict = {}
+    partials = [1.0]
+    for n in range(1, order + 1):
+        term = 0.0
+        for combo in combinations_with_replacement(sys.polymers, n):
+            gammas = (gamma0,) + combo
+            key = tuple(sys.incompatible(a, b) for a, b in combinations(gammas, 2))
+            if key not in phis:
+                phis[key] = U.ursell_graph_sum(
+                    U.InteractionMatrix(n + 1, [U.INF if inc else 0.0 for inc in key]))
+            weight = 1.0
+            for g in combo:
+                weight *= rho_map[g]
+            mults = 1
+            for c in Counter(combo).values():
+                mults *= math.factorial(c)
+            term += abs(phis[key]) / mults * weight
+        partials.append(partials[-1] + term)
+    return partials
+
+
+def compatible_families(sys: PL.PolymerSystem) -> list[list]:
+    """Oracle: every pairwise-compatible family of distinct polymers."""
+    ids = list(sys.polymers)
+    out = []
+    for mask in range(1 << len(ids)):
+        chosen = [g for k, g in enumerate(ids) if mask >> k & 1]
+        if all(not sys.incompatible(a, b) for a, b in combinations(chosen, 2)):
+            out.append(chosen)
     return out
 
 
@@ -135,6 +176,111 @@ class TestPinnedSeries:
             den = PL.partition_function(s, activities=neg)
             assert den > 0
             assert ps.value <= num / den + 1e-10
+
+
+class TestDeletionRecursion:
+    """The one independence-polynomial recursion, through each value type."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pinned_matches_oracle_random(self, seed):
+        rng = random.Random(100 + seed)
+        s = random_system(rng, rng.randint(2, 8), p=0.5)
+        g0 = rng.choice(s.polymers)
+        for rho in (rng.uniform(0.01, 0.3), {g: rng.uniform(0.01, 0.3) for g in s.polymers}):
+            got = PL.pinned_series(s, g0, 4, rho).partials
+            want = pinned_oracle(s, g0, 4, rho)
+            assert len(got) == len(want) == 5
+            assert all(math.isclose(g, w, rel_tol=1e-13) for g, w in zip(got, want)), (got, want)
+
+    @pytest.mark.parametrize("width,order", [(3, 4), (5, 4)])
+    def test_pinned_matches_oracle_domino(self, width, order):
+        s = PL.domino_system(width, width)
+        g0 = PL.domino_center(PL.domino_system(5, 5))
+        for rho in (0.05, 0.0371):
+            got = PL.pinned_series(s, g0, order, rho).partials
+            want = pinned_oracle(s, g0, order, rho)
+            assert all(math.isclose(g, w, rel_tol=1e-13) for g, w in zip(got, want)), (got, want)
+
+    def test_pinned_exact_fraction_activities(self):
+        # denominators 3, 5 and 7: the common denominator is their lcm, not
+        # any one of them
+        s = PL.PolymerSystem({"a": 1.0, "b": 1.0, "c": 1.0}, [("a", "b"), ("b", "c")])
+        rho = {"a": Fraction(1, 3), "b": Fraction(2, 5), "c": Fraction(1, 7)}
+        got = PL.pinned_series(s, "b", 6, rho).partials
+        want = pinned_oracle(s, "b", 6, rho)
+        assert all(math.isclose(g, w, rel_tol=1e-13) for g, w in zip(got, want)), (got, want)
+
+    def test_pinned_order_sixteen_approaches_ratio(self):
+        s = PL.domino_system(5, 5)
+        g0 = PL.domino_center(s)
+        rho = 0.05
+        partials = PL.pinned_series(s, g0, PL.PINNED_ORDER_CAP, rho).partials
+        assert len(partials) == 17
+        assert all(b >= a for a, b in zip(partials, partials[1:]))
+        neg = {g: -rho for g in s.polymers}
+        ratio = (PL.partition_function(s, frozenset(s.polymers) - s.neighborhood(g0), activities=neg)
+                 / PL.partition_function(s, activities=neg))
+        assert partials[-1] < ratio < partials[-1] + 1e-5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_xi_polynomial_matches_family_enumeration(self, seed):
+        rng = random.Random(200 + seed)
+        s = random_system(rng, rng.randint(6, 13), p=rng.choice([0.2, 0.4, 0.6]))
+        want = PL.ActivityPolynomial()
+        for family in compatible_families(s):
+            want.add_monomial(family, 1)
+        got = PL.xi_polynomial(s)
+        assert got == want
+        assert got.evaluate(s.activity) == pytest.approx(brute_force_xi(s), rel=1e-12)
+
+    def test_xi_polynomial_domino_and_region(self):
+        s = PL.domino_system(3, 3)
+        families = compatible_families(s)
+        got = PL.xi_polynomial(s)
+        assert len(got.terms) == len(families)
+        assert all(got.coefficient(f) == 1 for f in families)
+        region = s.polymers[:5]
+        sub = PL.PolymerSystem({g: 1.0 for g in region},
+                               [(a, b) for a, b in combinations(region, 2) if s.incompatible(a, b)])
+        want = PL.ActivityPolynomial()
+        for family in compatible_families(sub):
+            want.add_monomial(family, 1)
+        assert PL.xi_polynomial(s, region) == want
+
+    def test_largest_region(self):
+        n = PL.VOLUME_CAP
+        s = PL.PolymerSystem({k: 0.01 for k in range(n)}, [])
+        assert PL.partition_function(s) == pytest.approx(1.01 ** n, rel=1e-12)
+        assert PL.pinned_series(s, 0, 3, 0.01).partials == pytest.approx([1.0, 1.01, 1.0101, 1.010101])
+
+    def test_refuses_non_reflexive(self):
+        s = PL.PolymerSystem({"a": 0.5, "b": 0.25}, [("a", "b")], reflexive=False)
+        for call in (lambda: PL.partition_function(s), lambda: PL.xi_polynomial(s),
+                     lambda: PL.pinned_series(s, "a", 2, 0.1)):
+            with pytest.raises(ValueError, match="reflexive hard core"):
+                call()
+
+    def test_refuses_volume_cap(self):
+        s = PL.PolymerSystem({k: 0.01 for k in range(PL.VOLUME_CAP + 1)}, [])
+        for call in (lambda: PL.partition_function(s), lambda: PL.pinned_series(s, 0, 2, 0.01)):
+            with pytest.raises(ValueError, match=f"capped at {PL.VOLUME_CAP} polymers"):
+                call()
+
+    def test_refuses_state_cap(self, monkeypatch):
+        s = PL.domino_system(3, 3)
+        assert PL.partition_function(s) > 1
+        monkeypatch.setattr(PL, "STATE_CAP", 10)
+        for call in (lambda: PL.partition_function(s), lambda: PL.xi_polynomial(s),
+                     lambda: PL.pinned_series(s, s.polymers[0], 3, 0.1)):
+            with pytest.raises(CapExceededError, match="capped at 10 memo states"):
+                call()
+
+    def test_refuses_pinned_order_cap(self):
+        s = PL.PolymerSystem({"g": 1.0}, [])
+        assert len(PL.pinned_series(s, "g", PL.PINNED_ORDER_CAP, 0.5).partials) == 17
+        with pytest.raises(ValueError, match=f"order capped at {PL.PINNED_ORDER_CAP}"):
+            PL.pinned_series(s, "g", PL.PINNED_ORDER_CAP + 1, 0.5)
+
 
 
 class TestFixedPoint:
