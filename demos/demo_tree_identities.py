@@ -49,10 +49,9 @@ print(f"  nested families: {families['penrose']} <= {families['weak']}"
 print()
 print("Why trees suffice: both closures are partition schemes.")
 for n in (3, 4, 5):
-    rep = G.verify_partition_scheme(n, G.penrose_closure)
+    rep = G.verify_partition_scheme(n, G.penrose_added(n))
     w = {p: rng.random() for p in G.vertex_pairs(n)}
-    order = G.EdgeOrder.from_weights(n, w)
-    rep2 = G.verify_partition_scheme(n, lambda t: G.kruskal_closure(t, order))
+    rep2 = G.verify_partition_scheme(n, G.kruskal_added(G.EdgeOrder.from_weights(n, w)))
     print(f"  n={n}: depth-rule intervals partition G_n: {bool(rep)};"
           f" spanning-tree intervals: {bool(rep2)} ({rep.interval_count} graphs)")
 

@@ -129,16 +129,16 @@ def _cmd_graphs(args) -> int:
             alternating_sum=graphs.alternating_connected_sum(n, cap=args.cap),
         )
     elif args.action == "verify-scheme":
+        graphs.connected_masks(n, cap=args.cap)  # refuses n beyond the cap before any tree table
         if args.scheme == "penrose":
-            closure = graphs.penrose_closure
+            added = graphs.penrose_added(n)
         else:
             import random as _random
 
             rng = _random.Random(args.seed)
             w = {p: rng.random() for p in graphs.vertex_pairs(n)}
-            order = graphs.EdgeOrder.from_weights(n, w)
-            closure = lambda t: graphs.kruskal_closure(t, order)
-        rep = graphs.verify_partition_scheme(n, closure, cap=args.cap)
+            added = graphs.kruskal_added(graphs.EdgeOrder.from_weights(n, w))
+        rep = graphs.verify_partition_scheme(n, added, cap=args.cap)
         payload.update(scheme=args.scheme, seed=args.seed, ok=bool(rep), reason=rep.reason,
                        intervals=rep.interval_count)
         if rep.counterexample is not None:

@@ -4,13 +4,13 @@ A graph on [n] is an edge subset of the n(n-1)/2 vertex pairs, encoded as a
 bitmask over the pairs in lexicographic order.  Trees are produced through the
 Pruefer bijection, which guarantees exactly n^(n-2) of them: ``tree_table``
 decodes every sequence at once into numpy columns (mask, parent, depth, pair
-indices), and ``enumerate_trees`` reads its rows.  Two maps from rooted trees
-to connected graphs are provided -- the depth-rule closure of a rooted tree
-and the minimum-spanning-tree closure induced by a total edge order -- each
-twice: as a scalar closure of one tree, the oracle, and as a boolean
-closure-minus-tree array over the whole table (``penrose_added``,
-``kruskal_added``).  A verifier checks, graph by graph, that the boolean
-intervals [tree, closure(tree)] partition the connected graphs.
+indices).  Two maps from rooted trees to connected graphs are provided -- the
+depth-rule closure of a rooted tree and the minimum-spanning-tree closure
+induced by a total edge order -- each twice: as a scalar closure of one tree,
+the oracle, and as a boolean closure-minus-tree array over the rows of the
+table (``penrose_added``, ``kruskal_added``).  Such an array is a partition
+scheme; ``verify_partition_scheme`` checks that its boolean intervals
+[tree, closure(tree)] partition the connected graphs.
 
 Vertices are 0-indexed and rooted trees are rooted at vertex 0.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -176,21 +176,12 @@ def is_connected(g: LabeledGraph) -> bool:
     return _mask_connected(g.n, g.mask)
 
 
-def enumerate_graphs(
-    n: int,
-    cap: int = GRAPH_CAP,
-    mask_range: tuple[int, int] | None = None,
-) -> Iterator[LabeledGraph]:
-    """All 2^(n(n-1)/2) graphs on [n], each once, in bitmask order.
-
-    ``mask_range`` restricts to [start, stop) so enumeration can be
-    partitioned across workers.
-    """
+def enumerate_graphs(n: int, cap: int = GRAPH_CAP) -> Iterator[LabeledGraph]:
+    """All 2^(n(n-1)/2) graphs on [n], each once, in bitmask order."""
     if n < 1:
         raise ValueError("need n >= 1")
     _check_cap(n, cap, GRAPH_CAP_HARD, "graph")
-    start, stop = mask_range if mask_range is not None else (0, 1 << num_pairs(n))
-    for mask in range(start, stop):
+    for mask in range(1 << num_pairs(n)):
         yield LabeledGraph(n, mask)
 
 
@@ -300,15 +291,6 @@ class RootedTree:
         for v in range(1, n):
             kids[parent[v]].append(v)
         self.children = tuple(tuple(k) for k in kids)
-
-    @classmethod
-    def _from_row(cls, n: int, mask: int, parent: list[int], depth: list[int],
-                  children: tuple[tuple[int, ...], ...]) -> "RootedTree":
-        """A tree from a ``tree_table`` row, trusted as is: no BFS, no checks."""
-        self = cls.__new__(cls)
-        self.n, self.root, self.mask = n, 0, mask
-        self.parent, self.depth, self.children = tuple(parent), tuple(depth), children
-        return self
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -443,8 +425,9 @@ def _prufer_decode(n: int, codes: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def tree_table(n: int) -> TreeTable:
-    """All n^(n-2) trees on [n] in ``enumerate_trees`` order, built once per n
-    by a vectorised Pruefer decode, MASK_CHUNK codes at a time."""
+    """All n^(n-2) trees on [n] in Pruefer-sequence order (the order of
+    ``prufer_to_tree`` over the sequences in lexicographic order), built once
+    per n by a vectorised Pruefer decode, MASK_CHUNK codes at a time."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > TREE_CAP:
@@ -483,28 +466,6 @@ def tree_table(n: int) -> TreeTable:
     for col in (mask, parent, depth, pairs):
         col.flags.writeable = False
     return TreeTable(n, mask, parent, depth, pairs)
-
-
-def enumerate_trees(n: int, cap: int = TREE_CAP) -> Iterator[RootedTree]:
-    """All n^(n-2) labelled trees on [n] via the Pruefer bijection, read from
-    the rows of ``tree_table(n)``."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > cap:
-        raise CapExceededError(f"tree enumeration refused for n={n}: cap is {cap}")
-    t = tree_table(n)
-    subsets = [mask_bits(m) for m in range(1 << n)]
-    step = 1 << 16  # rows turned into Python lists at a time
-    for lo in range(0, len(t), step):
-        parent = t.parent[lo:lo + step]
-        rows = np.arange(len(parent))
-        # children of each vertex as a bitmask, read back through ``subsets``
-        below = np.zeros(parent.shape, dtype=np.int16)
-        for v in range(1, n):
-            below[rows, parent[:, v]] |= 1 << v
-        for mask, par, depth, kids in zip(t.mask[lo:lo + step].tolist(), parent.tolist(),
-                                          t.depth[lo:lo + step].tolist(), below.tolist()):
-            yield RootedTree._from_row(n, mask, par, depth, tuple(map(subsets.__getitem__, kids)))
 
 
 def tree_count_by_degrees(degrees: Sequence[int]) -> int:
@@ -689,49 +650,64 @@ class PartitionSchemeReport:
         return self.ok
 
 
-def verify_partition_scheme(
-    n: int,
-    closure: Callable[[RootedTree], LabeledGraph],
-    cap: int = GRAPH_CAP,
-) -> PartitionSchemeReport:
-    """Check that {g : tree <= g <= closure(tree)} partitions the connected
-    graphs on [n]: intervals must be disjoint and jointly cover all of them."""
+def _interval_members(mask: np.ndarray, added: np.ndarray, sizes: np.ndarray) -> Iterator[np.ndarray]:
+    """Every graph of every interval [mask, mask + added pairs], at most
+    MASK_CHUNK graphs at a time.  Rows are grouped by their number s of added
+    pairs; a block of rows doubles its intervals out over the first
+    log2(MASK_CHUNK) added pairs at once and loops over the subsets of the
+    rest."""
+    bits = np.left_shift(1, np.arange(added.shape[1], dtype=np.int64))
+    for s in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == s)
+        low = min(s, MASK_CHUNK.bit_length() - 1)
+        for lo in range(0, group.size, MASK_CHUNK >> low):
+            rows = group[lo:lo + (MASK_CHUNK >> low)]
+            pairs = bits[np.nonzero(added[rows])[1].reshape(rows.size, s)]
+            members = mask[rows, None]
+            for b in range(low):
+                members = np.concatenate((members, members | pairs[:, b, None]), axis=1)
+            rest = pairs[:, low:]
+            for k in range(1 << (s - low)):
+                yield (members | (rest @ (k >> np.arange(s - low) & 1))[:, None]).ravel()
+
+
+def verify_partition_scheme(n: int, added: np.ndarray, cap: int = GRAPH_CAP) -> PartitionSchemeReport:
+    """Check that the intervals [tree, tree + added pairs], one per row of
+    ``tree_table(n)``, partition the connected graphs on [n].
+
+    ``added`` is a closure-minus-tree bool array such as ``penrose_added(n)``
+    or ``kruskal_added(order)``.  No added pair may be a tree edge.  Every
+    interval member then contains a spanning tree, so the intervals partition
+    the connected graphs exactly when they cover each one and their sizes
+    2^|added| add up to the connected count.
+    """
     _check_cap(n, cap, GRAPH_CAP_HARD, "graph")
     if n < 2:
         raise ValueError("need n >= 2")
-    marks = bytearray(1 << num_pairs(n))
-    count = 0
-    for tree in enumerate_trees(n):
-        closed = closure(tree)
-        if closed.mask & tree.mask != tree.mask:
-            return PartitionSchemeReport(
-                False, n, reason="closure does not contain its tree",
-                counterexample=tree.as_graph(),
-            )
-        extra = closed.mask ^ tree.mask
-        sub = extra
-        while True:
-            m = tree.mask | sub
-            if marks[m]:
-                return PartitionSchemeReport(
-                    False, n, reason="intervals overlap",
-                    counterexample=LabeledGraph(n, m), interval_count=count,
-                )
-            marks[m] = 1
-            count += 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & extra
+    t = tree_table(n)
+    shape = (len(t), num_pairs(n))
+    if not (isinstance(added, np.ndarray) and added.dtype == bool and added.shape == shape):
+        raise ValueError(f"a partition scheme on [{n}] is a bool array of shape {shape}")
+    bits = np.left_shift(1, np.arange(shape[1], dtype=np.int64))
+    extra = np.concatenate([added[rows] @ bits for rows in t.chunks()])
+    clash = np.flatnonzero(extra & t.mask)
+    if clash.size:
+        return PartitionSchemeReport(
+            False, n, reason="an added pair is an edge of its tree",
+            counterexample=LabeledGraph(n, int(t.mask[clash[0]])),
+        )
+    sizes = np.bitwise_count(extra)
+    count = int(np.left_shift(1, sizes, dtype=np.int64).sum())
+    covered = np.zeros(1 << shape[1], dtype=bool)
+    for members in _interval_members(t.mask, added, sizes):
+        covered[members] = True
     table = connected_masks(n, cap)
-    uncovered = np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)[table] == 0)
+    uncovered = np.flatnonzero(~covered[table])
     if uncovered.size:
         return PartitionSchemeReport(
             False, n, reason="a connected graph is uncovered",
             counterexample=LabeledGraph(n, int(table[uncovered[0]])), interval_count=count,
         )
     if count != len(table):
-        return PartitionSchemeReport(
-            False, n, reason="interval sizes do not add up to the connected count",
-            interval_count=count,
-        )
+        return PartitionSchemeReport(False, n, reason="intervals overlap", interval_count=count)
     return PartitionSchemeReport(True, n, interval_count=count)

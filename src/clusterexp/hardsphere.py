@@ -24,6 +24,7 @@ import numpy as np
 from .mayer import _golden_max
 from .potentials import sphere_volume
 
+MC_BATCH = 1 << 17  # samples drawn per step; the stream, hence the estimate, depends on it
 G2_TABLE_CUTOFF = 6  # g(2, s) = 0 for s >= 6: six pairwise-far points do not fit
 
 #: Reference values of g(2, s) used by the d=2 radius bound; s = 5 is an
@@ -64,8 +65,7 @@ def _uniform_ball(rng: np.random.Generator, n: int, k: int, d: int) -> np.ndarra
     return g / norms * radii
 
 
-def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0,
-           batch: int = 1 << 17) -> OverlapEstimate:
+def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0) -> OverlapEstimate:
     """Estimate of g(d, k): acceptance rate of k uniform points in the unit
     d-ball under the pairwise-distance-greater-than-one constraint.
 
@@ -83,7 +83,7 @@ def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0,
     hits = 0
     done = 0
     while done < samples:
-        n = min(batch, samples - done)
+        n = min(MC_BATCH, samples - done)
         pts = _uniform_ball(rng, n, k, d)
         ok = np.ones(n, dtype=bool)
         for a in range(k):

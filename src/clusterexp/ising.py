@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .graphs import CapExceededError
+
 BRUTE_CAP = 5
 BRUTE_CAP_HARD = 6
 HIGH_T_CAP = 6
@@ -113,7 +115,7 @@ def brute_force_Z(L: int, beta: float, J: float = 1.0, boundary: str = "free",
                   cap: int = BRUTE_CAP) -> float:
     """Exact partition function by summation over all 2^(L^2) configurations."""
     if L > min(cap, BRUTE_CAP_HARD):
-        raise ValueError(f"brute force capped at L={min(cap, BRUTE_CAP_HARD)}")
+        raise CapExceededError(f"brute force capped at L={min(cap, BRUTE_CAP_HARD)}")
     N, _ = _density_of_states(L, boundary)
     # exactly-rounded accumulation over exact integer counts: the plus and
     # minus boundaries share N, so their sums match bit for bit
@@ -128,12 +130,17 @@ def _edge_index(L: int) -> dict[tuple[int, int], int]:
     return {b: k for k, b in enumerate(internal_bonds(L))}
 
 
-@lru_cache(maxsize=None)
 def even_subgraph_size_counts(L: int, cap: int = HIGH_T_CAP) -> tuple[int, ...]:
     """count[m] = number of even-degree edge subsets of the L x L box with m
-    edges, generated as the span of the (L-1)^2 plaquette cycles."""
+    edges, generated as the span of the (L-1)^2 plaquette cycles; computed
+    once per L whatever ``cap`` is passed."""
     if L > cap:
-        raise ValueError(f"even-subgraph enumeration capped at L={cap}")
+        raise CapExceededError(f"even-subgraph enumeration capped at L={cap}")
+    return _even_subgraph_counts(L)
+
+
+@lru_cache(maxsize=None)
+def _even_subgraph_counts(L: int) -> tuple[int, ...]:
     eidx = _edge_index(L)
     plaquettes = []
     for r in range(L - 1):
@@ -153,6 +160,11 @@ def even_subgraph_size_counts(L: int, cap: int = HIGH_T_CAP) -> tuple[int, ...]:
         current ^= plaquettes[(t & -t).bit_length() - 1]
         counts[current.bit_count()] += 1
     return tuple(counts)
+
+
+# the cache is keyed by L alone; its hits and misses read under the public name
+even_subgraph_size_counts.cache_info = _even_subgraph_counts.cache_info
+even_subgraph_size_counts.cache_clear = _even_subgraph_counts.cache_clear
 
 
 def high_T_polymer_Z(L: int, beta: float, J: float = 1.0) -> tuple[float, float]:
@@ -293,7 +305,7 @@ def low_T_contour_Z(L: int, beta: float, J: float = 1.0, cap: int = BRUTE_CAP) -
     e^(beta J Btilde) Xi equals the brute-force + boundary sum.
     """
     if L > min(cap, BRUTE_CAP_HARD):
-        raise ValueError(f"contour extraction capped at L={min(cap, BRUTE_CAP_HARD)}")
+        raise CapExceededError(f"contour extraction capped at L={min(cap, BRUTE_CAP_HARD)}")
     btilde = 2 * L * (L + 1)
     N, _ = _density_of_states(L, "plus")
     xi = math.fsum((N * np.exp(-2.0 * beta * J * np.arange(N.size))).tolist())
@@ -403,7 +415,7 @@ def magnetization(L: int, beta: float, J: float = 1.0, boundary: str = "free",
     boundary.
     """
     if L > min(cap, BRUTE_CAP_HARD):
-        raise ValueError(f"magnetization capped at L={min(cap, BRUTE_CAP_HARD)}")
+        raise CapExceededError(f"magnetization capped at L={min(cap, BRUTE_CAP_HARD)}")
     n = L * L
     N, M = _density_of_states(L, boundary)
     w = _bin_weights(N, beta, J)

@@ -213,7 +213,7 @@ def mayer_coefficients(
     states.
     """
     if n_max > N_MAX_CAP:
-        raise ValueError(f"n_max capped at {N_MAX_CAP}")
+        raise CapExceededError(f"n_max capped at {N_MAX_CAP}")
     if not 0 < volume.size <= VOLUME_CAP:
         raise ValueError(f"volume must hold 1 to {VOLUME_CAP} sites")
     if potential_eval(spec, 0.0) != INF:
@@ -302,7 +302,7 @@ def ks_recursion(M_max: int, beta: float, B: float, C: float) -> dict[tuple[int,
     recursion K(n, M-n) = e^(2 beta B) sum_s C^s / s! K(n-1+s, M-n-s) from
     K(1, 0) = 1, with the boundary convention K(0, l) = [l == 0]."""
     if M_max > KS_CAP:
-        raise ValueError(f"M_max capped at {KS_CAP}")
+        raise CapExceededError(f"M_max capped at {KS_CAP}")
     K: dict[tuple[int, int], float] = {(1, 0): 1.0}
 
     def get(n: int, l: int) -> float:

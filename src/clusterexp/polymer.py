@@ -106,7 +106,7 @@ def _independence(sys: PolymerSystem, regions: Sequence[int], z: Sequence, one) 
     if not sys.reflexive:
         raise ValueError("exact partition functions need the reflexive hard core")
     if any(r.bit_count() > VOLUME_CAP for r in regions):
-        raise ValueError(f"region capped at {VOLUME_CAP} polymers")
+        raise CapExceededError(f"region capped at {VOLUME_CAP} polymers")
     nbr = sys._nbr_masks
     memo = {0: one}
 
@@ -223,7 +223,7 @@ def xi_polynomial(sys: PolymerSystem, region: Iterable[Polymer] | None = None) -
     per pairwise-compatible family."""
     mask = _region_mask(sys, region)
     if mask.bit_count() > 20:  # the output can hold 2^20 monomials
-        raise ValueError("polynomial form capped at 20 polymers")
+        raise CapExceededError("polynomial form capped at 20 polymers")
     z = [ActivityPolynomial.monomial([g], 1) for g in sys.polymers]
     return _independence(sys, [mask], z, ActivityPolynomial.constant(1))[0]
 
@@ -266,10 +266,10 @@ def cluster_log_truncated(sys: PolymerSystem, region: Iterable[Polymer] | None =
     the result matches the exact Xi polynomial through total degree ``order``.
     """
     if order > CLUSTER_ORDER_CAP:
-        raise ValueError(f"order capped at {CLUSTER_ORDER_CAP}")
+        raise CapExceededError(f"order capped at {CLUSTER_ORDER_CAP}")
     region = sorted(frozenset(sys.polymers if region is None else region), key=repr)
     if len(region) > 12:
-        raise ValueError("cluster truncation capped at 12 polymers")
+        raise CapExceededError("cluster truncation capped at 12 polymers")
     cache: dict[tuple, int] = {}
     poly = ActivityPolynomial()
     for n in range(1, order + 1):
@@ -315,7 +315,7 @@ def pinned_series(sys: PolymerSystem, gamma0: Polymer, order: int,
     certified region, rho_g0 times the limit stays below the trial weight.
     """
     if order > PINNED_ORDER_CAP:
-        raise ValueError(f"order capped at {PINNED_ORDER_CAP}")
+        raise CapExceededError(f"order capped at {PINNED_ORDER_CAP}")
     rho_map = rho if isinstance(rho, Mapping) else {g: rho for g in sys.polymers}
     fracs = [Fraction(rho_map[g]) for g in sys.polymers]
     D = math.lcm(*(f.denominator for f in fracs))
@@ -626,7 +626,7 @@ def subset_gas_check(sys: PolymerSystem, a: float = math.log(2.0),
     polymers = list(sys.polymers)
     vertices = sorted({x for g in polymers for x in g}, key=repr)
     if len(vertices) > SUBSET_VERTEX_CAP:
-        raise ValueError(f"vertex set capped at {SUBSET_VERTEX_CAP}")
+        raise CapExceededError(f"vertex set capped at {SUBSET_VERTEX_CAP}")
     rho = {g: float(sys.activity[g]) for g in polymers}
     if any(r < 0 for r in rho.values()):
         raise ValueError("the inductive verification needs nonnegative activities")

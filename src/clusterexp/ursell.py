@@ -12,7 +12,8 @@ correctness check of this package.
 
 The tree route runs over ``graphs.tree_table(n)``: one vectorised term
 evaluator takes the closure-minus-tree pairs of every tree as a boolean array,
-whichever closure produced them.
+from the depth rule (``penrose_added``) or from the edge order of the matrix
+values (``kruskal_added``).
 
 Matrices whose values are all 0 or +inf ("hard core") are evaluated in exact
 integer arithmetic, so the identities can be checked bit for bit.
@@ -21,7 +22,7 @@ integer arithmetic, so the identities can be checked bit for bit.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,9 +30,9 @@ import numpy as np
 from .graphs import (
     GRAPH_CAP,
     MASK_CHUNK,
+    CapExceededError,
     EdgeOrder,
     connected_masks,
-    enumerate_trees,
     kruskal_added,
     mask_bits,
     num_pairs,
@@ -187,7 +188,7 @@ def ursell_partition_formula(V: InteractionMatrix, cap: int = PARTITION_CAP):
     """
     n = V.n
     if n > cap:
-        raise ValueError(f"partition formula refused for n={n}: cap is {cap} (Bell growth)")
+        raise CapExceededError(f"partition formula refused for n={n}: cap is {cap} (Bell growth)")
     if n == 1:
         return 1
     gibbs = _gibbs_subsets(V)
@@ -227,17 +228,15 @@ def ursell_partition_formula(V: InteractionMatrix, cap: int = PARTITION_CAP):
 _penrose_tree_table = penrose_added
 
 
-def ursell_tree_identity(V: InteractionMatrix, scheme="penrose"):
+def ursell_tree_identity(V: InteractionMatrix, scheme: str = "penrose"):
     """Tree route: sum over trees weighted through a partition scheme.
 
-    ``scheme`` is "penrose" (depth-rule closure), "kruskal" (closure under the
-    edge order built from the matrix values with lexicographic tie-break), or
-    a callable mapping a RootedTree to its closure graph.  Every scheme is
-    evaluated over the rows of ``tree_table(n)``: the named ones read their
-    closure-minus-tree pairs as arrays, a callable fills the same array from
-    its closure tree by tree.
+    ``scheme`` is "penrose" (depth-rule closure) or "kruskal" (closure under
+    the edge order built from the matrix values with lexicographic
+    tie-break).  Either is evaluated over the rows of ``tree_table(n)`` from
+    its closure-minus-tree pairs as an array.
     """
-    if not (scheme in ("penrose", "kruskal") or callable(scheme)):
+    if scheme not in ("penrose", "kruskal"):
         raise ValueError(f"unknown scheme {scheme!r}")
     n = V.n
     if n == 1:
@@ -245,18 +244,9 @@ def ursell_tree_identity(V: InteractionMatrix, scheme="penrose"):
     if scheme == "penrose":
         penrose = _penrose_tree_table(n)
         added = lambda rows: penrose[rows]
-    elif scheme == "kruskal":
+    else:
         order = EdgeOrder.from_weights(n, V.value)
         added = lambda rows: kruskal_added(order, rows)
-    else:
-        trees = enumerate_trees(n)
-        pair_bits = np.left_shift(1, np.arange(num_pairs(n), dtype=np.int64))
-
-        def added(rows):
-            # _tree_sum asks for the row chunks in order, so the trees follow
-            extra = [scheme(t).mask ^ t.mask for t in islice(trees, rows.stop - rows.start)]
-            return np.array(extra, dtype=np.int64)[:, None] & pair_bits != 0
-
     return _tree_sum(V, added)
 
 

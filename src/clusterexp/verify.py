@@ -13,6 +13,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import graphs as G
 from . import ursell as U
 
@@ -109,21 +111,23 @@ def combinatorics_suite(max_n: int = 5, seed: int = 0, scheme_trials: int = 5) -
     rng = random.Random(seed)
     results = []
     for n in range(2, max_n + 1):
-        count = sum(1 for _ in G.enumerate_trees(n))
+        masks = G.tree_table(n).mask
+        distinct = np.unique(masks).size
+        spanning = bool((np.bitwise_count(masks) == n - 1).all()
+                        and np.isin(masks, G.connected_masks(n)).all())
         results.append(CheckResult(
-            f"cayley-count-n{n}", count == n ** max(n - 2, 0),
-            f"{count} trees",
+            f"cayley-count-n{n}", spanning and distinct == n ** (n - 2),
+            f"{distinct} distinct masks; all spanning trees: {spanning}",
         ))
         s = G.alternating_connected_sum(n)
         expect = (-1) ** (n - 1) * math.factorial(n - 1)
         results.append(CheckResult(f"alternating-sum-n{n}", s == expect, f"{s}"))
-        rep = G.verify_partition_scheme(n, G.penrose_closure)
+        rep = G.verify_partition_scheme(n, G.penrose_added(n))
         results.append(CheckResult(f"penrose-scheme-n{n}", bool(rep), rep.reason))
         ok = True
         for _ in range(scheme_trials):
             w = {p: rng.random() for p in G.vertex_pairs(n)}
-            order = G.EdgeOrder.from_weights(n, w)
-            if not G.verify_partition_scheme(n, lambda t: G.kruskal_closure(t, order)):
+            if not G.verify_partition_scheme(n, G.kruskal_added(G.EdgeOrder.from_weights(n, w))):
                 ok = False
         results.append(CheckResult(f"kruskal-scheme-n{n}", ok, f"{scheme_trials} random weightings"))
     return results

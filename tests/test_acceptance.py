@@ -13,6 +13,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -30,6 +31,38 @@ from clusterexp.verify import _random_hardcore, _random_matrix
 
 def report(criterion: str, detail: str) -> None:
     print(f"[acceptance] {criterion}: PASS  ({detail})")
+
+
+def reaches_all_from_zero(n: int, masks: np.ndarray) -> np.ndarray:
+    """Bitset search from vertex 0 over the graphs ``masks`` (edge bits over
+    the pairs of [n] in lexicographic order, n <= 16), a million graphs at a
+    time: whether each graph connects every vertex to 0."""
+    out = np.empty(masks.size, dtype=bool)
+    for lo in range(0, masks.size, 1 << 20):
+        m = masks[lo:lo + (1 << 20)]
+        adj = np.zeros((n, m.size), dtype=np.uint16)
+        for k, (i, j) in enumerate(combinations(range(n), 2)):
+            bit = (m >> k & 1).astype(np.uint16)
+            adj[i] |= bit << j
+            adj[j] |= bit << i
+        seen = np.ones(m.size, dtype=np.uint16)
+        while True:
+            grown = seen.copy()
+            for v in range(n):
+                grown |= adj[v] & -(grown >> v & 1)
+            if np.array_equal(grown, seen):
+                break
+            seen = grown
+        out[lo:lo + m.size] = seen == (1 << n) - 1
+    return out
+
+
+def scheme_array(trees, closure):
+    """The closure-minus-tree pairs of each tree under a scalar closure, one
+    bool row per tree."""
+    bits = 1 << np.arange(G.num_pairs(trees[0].n))
+    extra = np.array([closure(t).mask ^ t.mask for t in trees], dtype=np.int64)
+    return extra[:, None] & bits != 0
 
 
 class TestCriterion1Identities:
@@ -72,11 +105,15 @@ class TestCriterion2Combinatorics:
     def test_tree_counts_to_nine(self):
         t0 = time.time()
         for n in range(2, 10):
-            count = sum(1 for _ in G.enumerate_trees(n))
-            assert count == n ** (n - 2), n
+            masks = G.tree_table(n).mask
+            ordered = np.sort(masks)
+            assert ordered.size == n ** (n - 2) and (ordered[1:] != ordered[:-1]).all(), n
+            assert (np.bitwise_count(masks) == n - 1).all(), n
+            assert reaches_all_from_zero(n, masks).all(), n
         elapsed = time.time() - t0
         assert elapsed < 600
-        report("criterion-2 tree counts", f"n^(n-2) exact for n <= 9, {elapsed:.1f}s")
+        report("criterion-2 tree counts",
+               f"n^(n-2) distinct spanning trees for n <= 9, {elapsed:.1f}s")
 
     def test_alternating_sums_to_six(self):
         for n in range(2, 7):
@@ -87,11 +124,14 @@ class TestCriterion2Combinatorics:
         t0 = time.time()
         rng = random.Random(2)
         for n in range(2, 7):
-            assert G.verify_partition_scheme(n, G.penrose_closure), n
+            # the scalar decode order of the sequences is the table's row order
+            trees = [G.prufer_to_tree(n, seq) for seq in product(range(n), repeat=n - 2)]
+            assert G.verify_partition_scheme(n, scheme_array(trees, G.penrose_closure)), n
             for _ in range(100):
                 w = {p: rng.random() for p in G.vertex_pairs(n)}
                 order = G.EdgeOrder.from_weights(n, w)
-                assert G.verify_partition_scheme(n, lambda t: G.kruskal_closure(t, order)), n
+                added = scheme_array(trees, lambda t: G.kruskal_closure(t, order))
+                assert G.verify_partition_scheme(n, added), n
         elapsed = time.time() - t0
         assert elapsed < 600
         report("criterion-2 partition schemes",

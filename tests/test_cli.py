@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
+from clusterexp import graphs as G
 from clusterexp.cli import main
+from clusterexp.verify import combinatorics_suite
 
 
 def run_json(capsys, argv):
@@ -140,6 +143,18 @@ class TestVerifyCommand:
     def test_combinatorics_pass(self, capsys):
         code, data = run_json(capsys, ["verify", "--suite", "combinatorics", "--max-n", "4"])
         assert code == 0 and data["ok"] is True
+
+    # a repeated tree, and the triangle 0-1-2 beside vertex 3: n - 1 edges, not a tree
+    @pytest.mark.parametrize("bad_mask", [None, 0b1011], ids=["duplicate", "disconnected"])
+    def test_cayley_check_sees_a_broken_table(self, monkeypatch, bad_mask):
+        G.penrose_added(4)  # cached from the true table
+        true_table = G.tree_table
+        mask = true_table(4).mask.copy()
+        mask[1] = mask[0] if bad_mask is None else bad_mask
+        broken = dataclasses.replace(true_table(4), mask=mask)
+        monkeypatch.setattr(G, "tree_table", lambda n: broken if n == 4 else true_table(n))
+        rows = {r.name: r for r in combinatorics_suite(max_n=4)}
+        assert rows["cayley-count-n3"].ok and not rows["cayley-count-n4"].ok
 
 
 class TestHarness:

@@ -38,12 +38,6 @@ class TestEnumeration:
         with pytest.raises(G.CapExceededError):
             G.count_connected(8)
 
-    def test_mask_range_partition(self):
-        full = [g.mask for g in G.enumerate_graphs(3)]
-        lo = [g.mask for g in G.enumerate_graphs(3, mask_range=(0, 4))]
-        hi = [g.mask for g in G.enumerate_graphs(3, mask_range=(4, 8))]
-        assert lo + hi == full
-
 
 class TestConnectivity:
     def test_path_connected(self):
@@ -91,12 +85,13 @@ class TestConnectivity:
 class TestTrees:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 16), (5, 125), (6, 1296)])
     def test_cayley_counts_distinct(self, n, count):
-        masks = {t.mask for t in G.enumerate_trees(n)}
+        masks = set(G.tree_table(n).mask.tolist())
         assert len(masks) == count
 
     def test_cap(self):
+        assert issubclass(G.CapExceededError, ValueError)
         with pytest.raises(G.CapExceededError):
-            list(G.enumerate_trees(10))
+            G.tree_table(G.TREE_CAP + 1)
 
     @given(st.integers(3, 7), st.data())
     @settings(max_examples=60, deadline=None)
@@ -116,7 +111,7 @@ class TestTrees:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_degree_formula_vs_filter(self, n):
-        by_deg = Counter(t.degrees() for t in G.enumerate_trees(n))
+        by_deg = Counter(t.degrees() for t in prufer_trees(n))
         for degs, cnt in by_deg.items():
             assert G.tree_count_by_degrees(degs) == cnt
         # the formula also sums back to the total
@@ -180,19 +175,11 @@ class TestTreeTable:
         full = G.kruskal_added(order)
         assert np.array_equal(G.kruskal_added(order, slice(100, 700)), full[100:700])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_enumerated_trees_equal_bfs_trees(self, n):
-        for tree, ref in zip(G.enumerate_trees(n), prufer_trees(n), strict=True):
-            assert tree == ref
-            assert (tree.parent, tree.depth, tree.children) == (ref.parent, ref.depth, ref.children)
-
     def test_cap_and_size(self):
         with pytest.raises(G.CapExceededError, match="cap is 9"):
             G.tree_table(10)
         with pytest.raises(ValueError, match="n >= 1"):
             G.tree_table(0)
-        with pytest.raises(G.CapExceededError, match="cap is 4"):
-            list(G.enumerate_trees(5, cap=4))
 
 
 class TestPenroseClosure:
@@ -279,29 +266,106 @@ class TestKruskal:
         for n in (4, 5):
             w = {p: rng.random() for p in G.vertex_pairs(n)}
             order = G.EdgeOrder.from_weights(n, w)
-            for t in G.enumerate_trees(n):
+            for t in prufer_trees(n):
                 closed = G.kruskal_closure(t, order)
                 assert G.kruskal_tree(closed, order).mask == t.mask
 
 
 class TestPartitionSchemes:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_penrose_scheme(self, n):
-        assert G.verify_partition_scheme(n, G.penrose_closure)
+        rep = G.verify_partition_scheme(n, G.penrose_added(n))
+        assert rep and rep.interval_count == G.count_connected(n)
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_kruskal_scheme_random_weights(self, n):
         rng = random.Random(100 + n)
-        for _ in range(10):
-            w = {p: rng.random() for p in G.vertex_pairs(n)}
-            order = G.EdgeOrder.from_weights(n, w)
-            assert G.verify_partition_scheme(n, lambda t: G.kruskal_closure(t, order))
+        orders = [G.EdgeOrder.lexicographic(n)] + [random_order(n, rng) for _ in range(3)]
+        orders += [G.EdgeOrder.from_weights(n, {p: rng.random() for p in G.vertex_pairs(n)})
+                   for _ in range(10)]
+        for order in orders:
+            rep = G.verify_partition_scheme(n, G.kruskal_added(order))
+            assert rep and rep.interval_count == G.count_connected(n)
 
     def test_identity_closure_fails_with_counterexample(self):
-        rep = G.verify_partition_scheme(3, lambda t: t.as_graph())
+        rep = G.verify_partition_scheme(3, np.zeros((3, 3), dtype=bool))
         assert not rep
-        assert rep.counterexample is not None
+        assert rep.reason == "a connected graph is uncovered"
         assert rep.counterexample.mask == 0b111  # the triangle is uncovered
+        assert rep.interval_count == 3
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_tree_pair_marked_added_fails(self, n):
+        t = G.tree_table(n)
+        added = G.penrose_added(n).copy()
+        row = len(t) // 2
+        added[row, t.pairs[row, -1]] = True
+        rep = G.verify_partition_scheme(n, added)
+        assert not rep and rep.reason == "an added pair is an edge of its tree"
+        assert rep.counterexample.mask == t.mask[row]
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_cleared_added_pair_fails(self, n):
+        t = G.tree_table(n)
+        added = G.penrose_added(n).copy()
+        cells = np.argwhere(added)
+        row, pair = cells[len(cells) // 2]
+        size = int(added[row].sum())
+        added[row, pair] = False
+        rep = G.verify_partition_scheme(n, added)
+        assert not rep and rep.reason == "a connected graph is uncovered"
+        # only the members of that row's interval holding the pair are lost
+        lost = rep.counterexample.mask
+        assert lost >> pair & 1 and lost & int(t.mask[row]) == t.mask[row]
+        assert rep.interval_count == G.count_connected(n) - 2 ** (size - 1)
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_added_pair_moved_to_another_row_fails(self, n):
+        t = G.tree_table(n)
+        added = G.penrose_added(n).copy()
+        src, pair = np.argwhere(added)[0]
+        dst = next(r for r in range(len(t)) if not added[r, pair] and not t.mask[r] >> pair & 1)
+        added[src, pair], added[dst, pair] = False, True
+        rep = G.verify_partition_scheme(n, added)
+        # the smallest lost member, tree(src) + pair, has n edges, so no
+        # other interval can hold it
+        assert not rep and rep.reason == "a connected graph is uncovered"
+        assert G.is_connected(rep.counterexample)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_extra_added_pair_overlaps(self, n):
+        t = G.tree_table(n)
+        added = G.penrose_added(n).copy()
+        row = int(np.flatnonzero(~added.any(axis=1))[-1])
+        pair = next(k for k in range(G.num_pairs(n)) if not t.mask[row] >> k & 1)
+        added[row, pair] = True
+        rep = G.verify_partition_scheme(n, added)
+        assert not rep and rep.reason == "intervals overlap"
+        assert rep.interval_count == G.count_connected(n) + 1
+
+    def test_malformed_scheme_refused(self):
+        good = G.penrose_added(4)
+        for bad in (good[1:], good[:, :-1], good.T, good.astype(np.int8), good.tolist()):
+            with pytest.raises(ValueError, match="bool array of shape"):
+                G.verify_partition_scheme(4, bad)
+        with pytest.raises(ValueError, match="n >= 2"):
+            G.verify_partition_scheme(1, np.zeros((1, 0), dtype=bool))
+        with pytest.raises(G.CapExceededError):
+            G.verify_partition_scheme(8, good)
+
+    @pytest.mark.parametrize("chunk", [1, 16, 512])
+    def test_verdict_and_step_size_follow_the_chunk(self, monkeypatch, chunk):
+        schemes = {n: [G.penrose_added(n), G.kruskal_added(random_order(n, random.Random(n)))]
+                   for n in (5, 6)}
+        counts = {n: G.count_connected(n) for n in schemes}  # tables built before the patch
+        monkeypatch.setattr(G, "MASK_CHUNK", chunk)
+        for n, arrays in schemes.items():
+            for added in arrays:
+                rep = G.verify_partition_scheme(n, added)
+                assert rep and rep.interval_count == counts[n]
+                steps = list(G._interval_members(G.tree_table(n).mask, added, added.sum(axis=1)))
+                assert max(s.size for s in steps) <= chunk
+                assert sum(s.size for s in steps) == counts[n]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_alternating_sum(self, n):

@@ -32,6 +32,13 @@ class TestMonteCarlo:
         b = H.gtilde(2, 3, samples=100_000, seed=7)
         assert a.estimate == b.estimate and a.std_error == b.std_error
 
+    def test_estimate_fixed_by_seed_and_samples(self):
+        # the batch size is a module constant, so (seed, samples) replays a run
+        assert H.MC_BATCH == 1 << 17
+        assert H.gtilde(2, 3, samples=300_000, seed=1).estimate == 0.058646666666666666
+        with pytest.raises(TypeError):
+            H.gtilde(2, 3, samples=1000, seed=1, batch=1 << 16)
+
     def test_seed_changes_stream(self):
         a = H.gtilde(2, 3, samples=100_000, seed=7)
         b = H.gtilde(2, 3, samples=100_000, seed=8)

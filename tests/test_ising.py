@@ -88,6 +88,16 @@ class TestHighTemperature:
         assert counts[2] == 0 and counts[4] > 0
         assert sum(counts) == 2 ** (3 * 3)
 
+    def test_counts_cached_by_L_alone(self):
+        I.even_subgraph_size_counts.cache_clear()
+        first = I.even_subgraph_size_counts(4)
+        assert I.even_subgraph_size_counts(4, 6) is first
+        assert I.even_subgraph_size_counts(4, cap=I.HIGH_T_CAP) is first
+        I.high_T_polymer_Z(4, 0.3)
+        assert I.even_subgraph_size_counts.cache_info().misses == 1
+        with pytest.raises(ValueError, match="capped at L=3"):
+            I.even_subgraph_size_counts(4, cap=3)
+
 
 class TestLowTemperature:
     @pytest.mark.parametrize("L", [2, 3, 4])

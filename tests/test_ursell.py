@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -96,10 +97,14 @@ class TestThreeWayAgreement:
             assert a == ursell_tree_identity(V, "kruskal")
 
     def test_custom_closure_callable(self):
+        # a closure callable is no scheme of the tree route; the scalar
+        # per-tree sum through it still reproduces the graph sum
         rng = random.Random(7)
         V = random_matrix(4, rng)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            ursell_tree_identity(V, G.penrose_closure)
         a = ursell_graph_sum(V)
-        c = ursell_tree_identity(V, G.penrose_closure)
+        c = scalar_tree_sum(V, G.penrose_closure)
         assert abs(a - c) <= 1e-12 * max(abs(a), 1e-30)
 
 
@@ -195,9 +200,25 @@ class TestClosureExponentSearch:
         assert penrose_exponent_minimum(V) <= 0.0
 
 
+@lru_cache(maxsize=None)
 def prufer_trees(n):
     """Oracle side: the scalar Pruefer decoder, whose RootedTree runs its BFS."""
-    return [G.prufer_to_tree(n, seq) for seq in product(range(n), repeat=max(n - 2, 0))]
+    return tuple(G.prufer_to_tree(n, seq) for seq in product(range(n), repeat=max(n - 2, 0)))
+
+
+def scalar_tree_sum(V, closure):
+    """The tree identity written out tree by tree through a scalar closure:
+    prod over tree pairs of w_ij times exp(-sum of V_ij over the added
+    pairs), 0 when an added pair is +inf; an exact int for hard-core V."""
+    vals, w = V.pair_values, V.mayer_weights()
+    terms = []
+    for tree in prufer_trees(V.n):
+        extra = G.mask_bits(closure(tree).mask ^ tree.mask)
+        if any(vals[k] == INF for k in extra):
+            continue
+        term = math.prod(w[k] for k in G.mask_bits(tree.mask))
+        terms.append(term if V.is_hard_core else term * math.exp(-sum(vals[k] for k in extra)))
+    return sum(terms) if V.is_hard_core else math.fsum(terms)
 
 
 def random_relation(n, rng, p=0.55):
@@ -218,7 +239,7 @@ class TestTreeTableRoutes:
                 pairs = (("penrose", G.penrose_closure),
                          ("kruskal", lambda t: G.kruskal_closure(t, order)))
                 for name, closure in pairs:
-                    table, scalar = ursell_tree_identity(V, name), ursell_tree_identity(V, closure)
+                    table, scalar = ursell_tree_identity(V, name), scalar_tree_sum(V, closure)
                     if V.is_hard_core:
                         assert type(table) is type(scalar) is int and table == scalar
                     else:
@@ -230,23 +251,17 @@ class TestTreeTableRoutes:
         rng = random.Random(900 + n)
         for _ in range(5):
             V = random_matrix(n, rng, p_inf=0.3)
-            vals, w = V.pair_values, V.mayer_weights()
             order = G.EdgeOrder.from_weights(n, V.value)
             for name, closure in (("penrose", G.penrose_closure),
                                   ("kruskal", lambda t: G.kruskal_closure(t, order))):
-                terms = []
-                for tree in prufer_trees(n):
-                    extra = G.mask_bits(closure(tree).mask ^ tree.mask)
-                    if any(vals[k] == INF for k in extra):
-                        continue
-                    terms.append(math.prod(w[k] for k in G.mask_bits(tree.mask))
-                                 * math.exp(-sum(vals[k] for k in extra)))
-                assert ursell_tree_identity(V, name) == pytest.approx(math.fsum(terms), rel=1e-12)
+                assert ursell_tree_identity(V, name) == pytest.approx(scalar_tree_sum(V, closure),
+                                                                      rel=1e-12)
 
     def test_unknown_scheme_refused_at_every_n(self):
         for n in (1, 2, 3):
-            with pytest.raises(ValueError, match="unknown scheme"):
-                ursell_tree_identity(InteractionMatrix(n, {}), "bogus")
+            for scheme in ("bogus", G.penrose_closure, lambda t: t.as_graph()):
+                with pytest.raises(ValueError, match="unknown scheme"):
+                    ursell_tree_identity(InteractionMatrix(n, {}), scheme)
 
     @pytest.mark.parametrize("n,root", [(2, 5), (3, -1), (3, 3), (1, 1)])
     def test_root_outside_vertices_refused(self, n, root):
