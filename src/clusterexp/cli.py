@@ -50,11 +50,7 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: tuple = 
     if args.format == "csv" and rows is None:
         raise ValueError("this subcommand has no tabular form; use --format json")
     payload = {"schema": SCHEMA, "version": __version__, **payload}
-    out = sys.stdout
-    close = False
-    if args.output:
-        out = open(args.output, "w")
-        close = True
+    out = _open(args.output, "w") if args.output else sys.stdout
     try:
         if args.format == "json":
             json.dump(_jsonable(payload), out, indent=2)
@@ -68,7 +64,7 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: tuple = 
         else:  # table
             _print_table(out, payload, rows)
     finally:
-        if close:
+        if out is not sys.stdout:
             out.close()
 
 
@@ -91,27 +87,27 @@ def _print_table(out, payload: dict, rows) -> None:
             ) + "\n")
 
 
+def _read(path: str) -> str:
+    with _open(path, "r") as fh:
+        return fh.read()
+
+
+def _open(path: str, mode: str):
+    """``open``, with a missing or unreadable path refused as a usage error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot open {path!r}: {exc.strerror}") from None
+
+
+def _pairs(items: list[str] | None) -> dict[str, float]:
+    return {k: float(v) for k, v in potentials.parse_pairs(items or []).items()}
+
+
 def _spec_from_args(args) -> potentials.PairPotentialSpec:
     if args.spec_file:
-        with open(args.spec_file) as fh:
-            return potentials.spec_from_text(fh.read())
-    fam = args.family
-    p = dict(kv.split("=") for kv in (args.params or []))
-    p = {k: float(v) for k, v in p.items()}
-    builders = {
-        "hard_core": lambda: potentials.hard_core(p.get("a", 1.0), dimension=args.dimension),
-        "square_well": lambda: potentials.square_well(p.get("A", 2.0), p.get("R", 1.0),
-                                                      p.get("delta", 0.25), dimension=args.dimension),
-        "ruelle": lambda: potentials.ruelle(p.get("R", 1.0), p.get("delta", 0.5),
-                                            dimension=args.dimension),
-        "lj_type": lambda: potentials.lj_type(p.get("c1", 1.0), p.get("c2", 1.0),
-                                              p.get("eps", 1.0), p.get("a", 1.0),
-                                              dimension=args.dimension),
-        "lennard_jones": lambda: potentials.lennard_jones(p.get("epsilon", 1.0),
-                                                          p.get("sigma", 1.0),
-                                                          dimension=args.dimension),
-    }
-    return builders[fam]()
+        return potentials.spec_from_text(_read(args.spec_file))
+    return potentials.build_spec(args.family, _pairs(args.params), args.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +147,7 @@ def _cmd_graphs(args) -> int:
 
 def _cmd_ursell(args) -> int:
     if args.matrix_file:
-        with open(args.matrix_file) as fh:
-            V = ursell.InteractionMatrix.from_text(fh.read())
+        V = ursell.InteractionMatrix.from_text(_read(args.matrix_file))
     elif args.matrix:
         V = ursell.InteractionMatrix.from_text(args.matrix)
     else:
@@ -185,7 +180,7 @@ def _cmd_potentials(args) -> int:
     payload: dict = {
         "command": "potentials", "action": args.action,
         "spec": {"family": spec.family, "dimension": spec.dimension,
-                 **{k: v for k, v in spec.params if not callable(v)}},
+                 **spec.p},
     }
     if args.action == "eval":
         payload.update(r=args.r, value=potentials.potential_eval(spec, args.r))
@@ -292,8 +287,9 @@ def _cmd_polymer(args) -> int:
         _emit(args, payload)
         return 0
     if args.action == "partition":
-        with open(args.system_file) as fh:
-            sys_ = polymer.system_from_adjacency_text(fh.read())
+        if not args.system_file:
+            raise ValueError("need --system-file")
+        sys_ = polymer.system_from_adjacency_text(_read(args.system_file))
         xi = polymer.partition_function(sys_)
         payload = {"command": "polymer", "action": "partition",
                    "polymers": len(sys_), "xi": float(abs(xi)) if isinstance(xi, complex) else float(xi)}
@@ -316,7 +312,7 @@ def _cmd_polymer(args) -> int:
         _emit(args, payload)
         return 0 if rep else 1
     if args.action == "catalog":
-        params = {k: float(v) for k, v in (kv.split("=") for kv in args.params or [])}
+        params = _pairs(args.params)
         if "d" in params:
             params["d"] = int(params["d"])
         rep = polymer.bounds_catalog(args.which, **params)

@@ -77,6 +77,8 @@ def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0) -> OverlapEs
         raise ValueError("dimension must be 1, 2 or 3")
     if k < 0:
         raise ValueError("need k >= 0")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     if k <= 1:
         return OverlapEstimate(d, k, 1.0, 0.0, 0, seed, exact=True)
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -90,6 +90,8 @@ def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     """Exact histograms over all 2^(L^2) configurations by the number k of
     opposite-spin pairs: N[k] configurations, and M[x, k] the sum of the spin
     sigma_x over them.  Read-only int64; one sweep per (L, boundary)."""
+    if L < 1:
+        raise ValueError("need L >= 1")
     n_pairs = 2 * L * (L - 1) + (boundary_pair_count(L) if boundary != "free" else 0)
     bins = n_pairs + 1
     N = np.zeros(bins, dtype=np.int64)

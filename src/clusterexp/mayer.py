@@ -428,6 +428,8 @@ class VirialTools:
     @property
     def virial_radius(self) -> float:
         """The published lower bound 0.14477 / (Ctilde e^(beta Bbar))."""
+        if self.Ctilde <= 0:
+            raise ValueError("need Ctilde > 0")
         return VIRIAL_NUMERATOR / (self.Ctilde * math.exp(self.beta * self.Bbar))
 
     def euler_check(self, x: float, n_terms: int = 80) -> tuple[float, list[float]]:

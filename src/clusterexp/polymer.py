@@ -24,13 +24,13 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import CapExceededError
 from .mayer import _golden_max
+from .potentials import call_checked
 from .ursell import INF, InteractionMatrix, ursell_graph_sum
 
 VOLUME_CAP = 128  # polymers per region; also bounds the recursion depth
 STATE_CAP = 1 << 16  # memo states of the deletion recursion
 CLUSTER_ORDER_CAP = 6
 PINNED_ORDER_CAP = 16
-FP_NEIGHBOR_CAP = 25
 SUBSET_VERTEX_CAP = 12
 
 Polymer = Hashable
@@ -411,12 +411,9 @@ def criteria(inp: CriterionInput) -> dict[Polymer, CriterionRadii]:
     """
     sys = inp.system
     return {
-        g: CriterionRadii(
-            r_kp=criterion_radius(sys, g, inp.mu, "kp"),
-            r_dob=criterion_radius(sys, g, inp.mu, "dob"),
-            r_fp=criterion_radius(sys, g, inp.mu, "fp"),
-            fp_exact=len(sys.neighborhood(g)) <= FP_NEIGHBOR_CAP,
-        )
+        g: CriterionRadii(criterion_radius(sys, g, inp.mu, "kp"),
+                          criterion_radius(sys, g, inp.mu, "dob"),
+                          *_fp_radius(sys, g, inp.mu))
         for g in sys.polymers
     }
 
@@ -425,7 +422,7 @@ def criterion_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float]
                      which: str) -> float:
     """One polymer's radius mu_g / phi(mu) for one condition: "kp"
     (exponential), "dob" (product) or "fp" (neighborhood partition function,
-    bounded from above past FP_NEIGHBOR_CAP neighbors)."""
+    bounded from above where the exact recursion refuses the neighborhood)."""
     nbh = sys.neighborhood(g)
     if which == "kp":
         return mu[g] / math.exp(sum(mu[h] for h in nbh))
@@ -435,13 +432,20 @@ def criterion_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float]
             prod *= 1.0 + mu[h]
         return mu[g] / prod
     if which == "fp":
-        if len(nbh) <= FP_NEIGHBOR_CAP:
-            return mu[g] / abs(partition_function(sys, nbh, activities=mu))
-        return mu[g] / _fp_fallback_bound(sys, g, nbh, mu)
+        return _fp_radius(sys, g, mu)[0]
     raise ValueError(f"unknown criterion {which!r}; known: kp, dob, fp")
 
 
-def _fp_fallback_bound(sys: PolymerSystem, g: Polymer, nbh: frozenset, mu) -> float:
+def _fp_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float]) -> tuple[float, bool]:
+    """(fp radius, whether it used the exact neighborhood partition function)."""
+    nbh = sys.neighborhood(g)
+    try:
+        return mu[g] / abs(partition_function(sys, nbh, activities=mu)), True
+    except CapExceededError:
+        return mu[g] / _fp_fallback_bound(g, nbh, mu), False
+
+
+def _fp_fallback_bound(g: Polymer, nbh: frozenset, mu) -> float:
     """Upper bound on the neighborhood partition function for oversized
     neighborhoods: the binomial bound when polymers are vertex subsets,
     the product bound otherwise."""
@@ -571,6 +575,9 @@ def random_subset_gas(vertices: Sequence[Hashable], n_polymers: int, max_size: i
     """Random subset system scaled so sup_x sum_{g: x in g} rho(g) e^(a|g|)
     equals ``margin`` times e^a - 1."""
     vertices = list(vertices)
+    distinct = sum(math.comb(len(vertices), s) for s in range(1, max_size + 1))
+    if not 1 <= n_polymers <= distinct:  # the sampling below draws distinct subsets
+        raise ValueError(f"need 1 <= n_polymers <= {distinct}, the subsets of size <= {max_size}")
     polymers: dict[frozenset, float] = {}
     while len(polymers) < n_polymers:
         size = rng.randint(1, max_size)
@@ -850,8 +857,4 @@ def bounds_catalog(which: str, **params) -> BoundReport:
         fn = _CATALOG[which]
     except KeyError:
         raise ValueError(f"unknown bound {which!r}; known: {', '.join(sorted(_CATALOG))}") from None
-    return fn(**params)
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOG))
+    return call_checked(fn, params, f"bound {which}")

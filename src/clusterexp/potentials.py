@@ -3,7 +3,9 @@
 Families cover the standard shapes: a pure hard core, a square barrier with a
 shallow well, the barrier-11 / well-(-1) step potential whose close-packed
 clusters break stability, a power-law core-plus-tail class, the classical
-12-6 potential, and user-supplied step tables or callables.
+12-6 potential, and user-supplied step tables.  Each family constructor is
+the only way to build its spec; ``build_spec`` looks a family up by name, so
+spec files and the command line share the constructors' checks and defaults.
 
 Stability is probed, never proved: ``stability_estimate`` reports a certified
 lower bound on B_n together with the witness configuration that achieves it.
@@ -16,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from inspect import Parameter, signature
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 INF = math.inf
 
-FAMILIES = ("hard_core", "square_well", "ruelle", "lj_type", "lennard_jones", "step_table", "custom")
+DESCENT_SWEEPS = 40  # coordinate-descent sweeps per start of the stability search
+KISSING_SHELL_TOL = 0.05  # relative width of a well shell that the kissing bound covers
 
 
 class DivergentTailError(ValueError):
@@ -40,17 +44,14 @@ class PairPotentialSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.dimension < 1:
+            raise ValueError("dimension must be at least 1")
 
     @property
     def p(self) -> dict:
         return dict(self.params)
 
-    def __call__(self, r: float) -> float:
-        return potential_eval(self, r)
-
     def to_text(self) -> str:
-        if self.family == "custom":
-            raise ValueError("callable potentials have no text form")
         lines = [f"family = {self.family}", f"dimension = {self.dimension}"]
         for k, v in self.params:
             if self.family == "step_table":
@@ -61,31 +62,42 @@ class PairPotentialSpec:
 
 
 def spec_from_text(text: str) -> PairPotentialSpec:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        k, _, v = line.partition("=")
-        fields[k.strip()] = v.strip()
+    """Parse ``key = value`` lines (``#`` starts a comment) through ``build_spec``;
+    step-table radii and values are comma-separated lists."""
+    lines = (line.split("#", 1)[0] for line in text.splitlines())
+    fields = parse_pairs(line for line in lines if line.strip())
+    if "family" not in fields:
+        raise ValueError("spec has no 'family' line")
     family = fields.pop("family")
     dimension = int(fields.pop("dimension", "3"))
-    if family == "step_table":
-        radii = tuple(float(x) for x in fields["radii"].split(","))
-        values = tuple(float(x) for x in fields["values"].split(","))
-        return step_table(radii, values, dimension=dimension)
-    params = tuple((k, float(v)) for k, v in sorted(fields.items()))
-    return PairPotentialSpec(family, params, dimension)
+    if family == "step_table":  # the constructor converts each list entry
+        params = {k: v.split(",") for k, v in fields.items()}
+    else:
+        params = {k: float(v) for k, v in fields.items()}
+    return build_spec(family, params, dimension)
 
 
-def hard_core(a: float, dimension: int = 3) -> PairPotentialSpec:
+def parse_pairs(items: Iterable[str]) -> dict[str, str]:
+    """``key = value`` items as stripped strings; an item without a key and
+    an ``=`` is refused by name."""
+    pairs = {}
+    for item in items:
+        k, eq, v = item.partition("=")
+        if not (k.strip() and eq):
+            raise ValueError(f"{item.strip()!r} is not of the form key = value")
+        pairs[k.strip()] = v.strip()
+    return pairs
+
+
+def hard_core(a: float = 1.0, dimension: int = 3) -> PairPotentialSpec:
     """V = +inf for r <= a, 0 beyond."""
     if a <= 0:
         raise ValueError("hard-core radius must be positive")
     return PairPotentialSpec("hard_core", (("a", a),), dimension)
 
 
-def square_well(A: float, R: float, delta: float, dimension: int = 3) -> PairPotentialSpec:
+def square_well(A: float = 2.0, R: float = 1.0, delta: float = 0.25,
+                dimension: int = 3) -> PairPotentialSpec:
     """V = A on [0, R], -1 on (R, R+delta], 0 beyond."""
     return PairPotentialSpec("square_well", (("A", A), ("R", R), ("delta", delta)), dimension)
 
@@ -130,17 +142,34 @@ def step_table(radii: Sequence[float], values: Sequence[float], dimension: int =
     return PairPotentialSpec("step_table", (("radii", radii), ("values", values)), dimension)
 
 
-def custom(fn: Callable[[float], float], dimension: int = 3,
-           support: float | None = None, nonnegative: bool = False) -> PairPotentialSpec:
-    """Arbitrary radial callable; ``support`` marks a compact support radius."""
-    return PairPotentialSpec(
-        "custom", (("fn", fn), ("support", support), ("nonnegative", nonnegative)), dimension
-    )
-
-
 def attractive_well(b: float, delta: float, dimension: int = 3) -> PairPotentialSpec:
     """V = -b for r <= delta, 0 beyond: bounded, tempered, unstable for b > 0."""
     return step_table((delta,), (-b,), dimension)
+
+
+_CONSTRUCTORS = {make.__name__: make for make in
+                 (hard_core, square_well, ruelle, lj_type, lennard_jones, step_table)}
+FAMILIES = tuple(_CONSTRUCTORS)
+
+
+def build_spec(family: str, params: dict, dimension: int = 3) -> PairPotentialSpec:
+    """The spec of ``family`` from its constructor, called with ``params``;
+    unknown families and parameter names are refused by name."""
+    if family not in _CONSTRUCTORS:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    return call_checked(_CONSTRUCTORS[family], params, f"family {family}", dimension=dimension)
+
+
+def call_checked(fn: Callable, params: dict, what: str, **fixed):
+    """``fn(**params, **fixed)``, refusing by name each parameter that ``fn``
+    does not take (the ``fixed`` ones included) and each required one missing."""
+    takes = {k: v for k, v in signature(fn).parameters.items() if k not in fixed}
+    problems = ([f"unknown parameter {k!r}" for k in sorted(set(params) - set(takes))]
+                + [f"missing parameter {k!r}" for k, v in takes.items()
+                   if v.default is Parameter.empty and k not in params])
+    if problems:
+        raise ValueError(f"{what}: {', '.join(problems)} (it takes {', '.join(takes)})")
+    return fn(**params, **fixed)
 
 
 def potential_eval(spec: PairPotentialSpec, r: float) -> float:
@@ -180,8 +209,6 @@ def potential_eval(spec: PairPotentialSpec, r: float) -> float:
             if r <= rk:
                 return vk
         return 0.0
-    if f == "custom":
-        return p["fn"](r)
     raise AssertionError(f)
 
 
@@ -198,49 +225,37 @@ def is_nonnegative(spec: PairPotentialSpec) -> bool:
         return p["epsilon"] == 0
     if f == "step_table":
         return all(v >= 0 for v in p["values"])
-    if f == "custom":
-        return bool(p["nonnegative"])
     raise AssertionError(f)
 
 
 def length_scale(spec: PairPotentialSpec) -> float:
     p = spec.p
     f = spec.family
-    if f == "hard_core":
+    if f in ("hard_core", "lj_type"):
         return p["a"]
-    if f == "square_well":
+    if f in ("square_well", "ruelle"):
         return p["R"] + p["delta"]
-    if f == "ruelle":
-        return p["R"] + p["delta"]
-    if f == "lj_type":
-        return p["a"]
     if f == "lennard_jones":
         return p["sigma"]
     if f == "step_table":
         return p["radii"][-1]
-    if f == "custom":
-        return p["support"] or 1.0
     raise AssertionError(f)
 
 
 def _breakpoints(spec: PairPotentialSpec) -> list[float]:
     p = spec.p
     f = spec.family
-    if f == "hard_core":
+    if f in ("hard_core", "lj_type"):
         return [p["a"]]
     if f == "square_well":
         return [p["R"], p["R"] + p["delta"]]
     if f == "ruelle":
         return [p["R"] - p["delta"], p["R"] + p["delta"]]
-    if f == "lj_type":
-        return [p["a"]]
     if f == "lennard_jones":
         s = p["sigma"]
         return [s * 2 ** (-1 / 6), s, 2 * s]
     if f == "step_table":
         return list(p["radii"])
-    if f == "custom":
-        return [p["support"]] if p["support"] else [1.0]
     raise AssertionError(f)
 
 
@@ -255,8 +270,6 @@ def _tail(spec: PairPotentialSpec) -> tuple[float, float] | None:
         return (spec.dimension + p["eps"], p["c2"])
     if f == "lennard_jones":
         return (6.0, 2.0 * p["epsilon"] * p["sigma"] ** 6)
-    if f == "custom":
-        return None if p["support"] else (0.0, INF)
     raise AssertionError(f)
 
 
@@ -265,8 +278,8 @@ def sphere_surface(d: int) -> float:
     return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
 
 
-def configuration_energy(spec: PairPotentialSpec, points: np.ndarray, beta: float = 1.0) -> float:
-    """Total pair energy beta * sum V(|x_i - x_j|) of a configuration."""
+def configuration_energy(spec: PairPotentialSpec, points: np.ndarray) -> float:
+    """Total pair energy sum V(|x_i - x_j|) of a configuration."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     total = 0.0
@@ -276,7 +289,7 @@ def configuration_energy(spec: PairPotentialSpec, points: np.ndarray, beta: floa
             if v == INF:
                 return INF
             total += v
-    return beta * total
+    return total
 
 
 @dataclass
@@ -302,7 +315,7 @@ class StabilityReport:
 
 
 def stability_estimate(spec: PairPotentialSpec, n: int, budget: int = 40,
-                       seed: int = 0, sweeps: int = 40) -> StabilityReport:
+                       seed: int = 0) -> StabilityReport:
     """Lower bound on B_n = sup over configurations of -U/n.
 
     Multistart random placement in a box of side four length scales followed
@@ -321,18 +334,15 @@ def stability_estimate(spec: PairPotentialSpec, n: int, budget: int = 40,
     best_pts = None
     total_iters = 0
 
-    def energy(pts):
-        return configuration_energy(spec, pts)
-
     steps = [scale * f for f in (0.6, 0.25, 0.1, 0.04, 0.015, 0.005, 0.002)]
     for k in range(budget):
         rng = np.random.default_rng(children[k])
         pts = rng.uniform(0.0, side, size=(n, d))
-        u = energy(pts)
+        u = configuration_energy(spec, pts)
         tries = 0
         while u == INF and tries < 50:
             pts = rng.uniform(0.0, side, size=(n, d))
-            u = energy(pts)
+            u = configuration_energy(spec, pts)
             tries += 1
         if u == INF:
             continue
@@ -341,10 +351,10 @@ def stability_estimate(spec: PairPotentialSpec, n: int, budget: int = 40,
         for f in (0.85, 0.7, 0.55, 0.4, 0.3, 0.2, 0.12, 0.06, 0.03):
             center = pts.mean(axis=0)
             trial = center + (pts - center) * f
-            ut = energy(trial)
+            ut = configuration_energy(spec, trial)
             if ut < u:
                 pts, u = trial, ut
-        for sweep in range(sweeps):
+        for sweep in range(DESCENT_SWEEPS):
             improved = False
             for i in range(n):
                 for axis in range(d):
@@ -352,7 +362,7 @@ def stability_estimate(spec: PairPotentialSpec, n: int, budget: int = 40,
                         for sgn in (+1.0, -1.0):
                             trial = pts.copy()
                             trial[i, axis] += sgn * step
-                            ut = energy(trial)
+                            ut = configuration_energy(spec, trial)
                             if ut < u:
                                 pts, u = trial, ut
                                 improved = True
@@ -468,8 +478,8 @@ def ruelle_divergence_witness(lam: float, beta: float, n_fixed: int | None = Non
         eps = eps_cert if eps is None else eps
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if lam <= 0 or beta <= 0 or n_fixed < 1 or s_max < 2:
-        raise ValueError("need lam > 0, beta > 0, n >= 1, s_max >= 2")
+    if lam <= 0 or beta <= 0 or n_fixed < 1 or s_max < 4:
+        raise ValueError("need lam > 0, beta > 0, n >= 1, s_max >= 4 (three ratios)")
     v_delta = sphere_volume(3, delta / 2.0)
     base = math.log(lam * v_delta) + 11.0 * beta / 2.0
     log_terms = []
@@ -502,25 +512,25 @@ class RegularityIntegrals:
 
 
 def regularity_integrals(spec: PairPotentialSpec, beta: float,
-                         d: int | None = None, abs_tol: float = 1e-8) -> RegularityIntegrals:
-    """The two f-function integrals over R^d by radial adaptive quadrature.
+                         abs_tol: float = 1e-8) -> RegularityIntegrals:
+    """The two f-function integrals over R^d, d = ``spec.dimension``, by radial
+    adaptive quadrature.
 
     c_tilde <= c always, with equality exactly for nonnegative potentials.
     Raises DivergentTailError when the tail is not absolutely integrable.
     """
-    d = spec.dimension if d is None else d
+    d = spec.dimension
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     surf = sphere_surface(d)
     tail = _tail(spec)
     pts = sorted(set(b for b in _breakpoints(spec) if b and b > 0))
     if tail is None:
-        r_max = pts[-1] if pts else length_scale(spec)
         segments = [0.0] + pts
         infinite_tail = False
     else:
         power, coeff = tail
-        if coeff == INF or power <= d:
+        if power <= d:
             raise DivergentTailError(
                 f"tail decay r^-{power} is not absolutely integrable in d={d}"
             )
@@ -587,9 +597,7 @@ def negative_part_envelope_integral(spec: PairPotentialSpec) -> float:
     f = spec.family
     if is_nonnegative(spec):
         return 0.0
-    if f == "square_well":
-        return sphere_volume(d, p["R"] + p["delta"])
-    if f == "ruelle":
+    if f in ("square_well", "ruelle"):
         return sphere_volume(d, p["R"] + p["delta"])
     if f == "step_table":
         # envelope at r: max depth at radii >= r
@@ -622,24 +630,12 @@ def negative_part_envelope_integral(spec: PairPotentialSpec) -> float:
     raise ValueError(f"no envelope integral for family {f!r}")
 
 
-def _negative_support(spec: PairPotentialSpec) -> tuple[float, float] | None:
-    """(inner, outer) radius of the region where V < 0, for shell-shaped wells."""
-    p = spec.p
-    f = spec.family
-    if f == "square_well":
-        return (p["R"], p["R"] + p["delta"])
-    if f == "ruelle":
-        return (p["R"] - p["delta"], p["R"] + p["delta"])
-    return None
-
-
-def basuev_classify(spec: PairPotentialSpec, a: float,
-                    kissing_shell_tol: float = 0.05) -> BasuevClassification:
+def basuev_classify(spec: PairPotentialSpec, a: float) -> BasuevClassification:
     """Classify by comparing V(a) with the computable bound mu_hat(a).
 
     mu_hat(a) = C_d / a^d with C_d = (4d)^(d/2) * integral of the monotone
     envelope of the negative part (cube packing of points at mutual distance
-    > a).  For d = 3 wells supported in a thin shell [a, a(1+tol)] the
+    > a).  For d = 3 wells supported in a thin shell [a, a(1 + KISSING_SHELL_TOL)] the
     12-point kissing bound mu_hat = 12 * depth is used when smaller.
     V(a) >= 2 mu_hat certifies "strongly_basuev", V(a) >= mu_hat certifies
     "basuev"; "not_basuev" is advisory only since mu_hat >= mu.
@@ -663,12 +659,10 @@ def basuev_classify(spec: PairPotentialSpec, a: float,
     c_d = (4 * d) ** (d / 2) * negative_part_envelope_integral(spec)
     mu_hat = c_d / a**d
     kissing = False
-    support = _negative_support(spec)
-    if d == 3 and support is not None:
-        inner, outer = support
-        if inner >= a - 1e-12 and outer <= a * (1.0 + kissing_shell_tol) + 1e-12:
-            depth = 1.0  # both shell families have well depth 1
-            kiss = 12.0 * depth
+    if d == 3 and spec.family in ("square_well", "ruelle"):
+        inner, outer = _breakpoints(spec)  # the well shell, of depth 1 in both families
+        if inner >= a - 1e-12 and outer <= a * (1.0 + KISSING_SHELL_TOL) + 1e-12:
+            kiss = 12.0  # at most 12 neighbours touch at distance a
             if kiss < mu_hat:
                 mu_hat, kissing = kiss, True
     if v_a >= 2.0 * mu_hat:

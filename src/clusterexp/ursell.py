@@ -47,7 +47,6 @@ from .graphs import (
 INF = math.inf
 
 PARTITION_CAP = 10  # Bell(10) = 115975 partitions
-NEIGHBOR_CAP = 25
 
 
 class StabilityCertificateError(ValueError):

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from clusterexp import graphs as G
+from clusterexp import potentials as P
 from clusterexp.cli import main
 from clusterexp.verify import combinatorics_suite
 
@@ -15,6 +16,22 @@ def run_json(capsys, argv):
     code = main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def assert_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+FAMILY_PARAMS = {
+    "hard_core": {"a": 0.8},
+    "square_well": {"A": 3.0, "R": 1.2, "delta": 0.3},
+    "ruelle": {"R": 1.5, "delta": 0.2},
+    "lj_type": {"c1": 2.0, "c2": 0.5, "eps": 0.7, "a": 0.9},
+    "lennard_jones": {"epsilon": 1.5, "sigma": 0.8},
+}
 
 
 class TestGraphsCommand:
@@ -54,6 +71,52 @@ class TestPotentialsCommand:
     def test_fcc(self, capsys):
         code, data = run_json(capsys, ["potentials", "fcc", "--shells", "1"])
         assert code == 0 and data["n"] == 13 and data["bond_count"] == 36
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    @pytest.mark.parametrize("family", list(FAMILY_PARAMS))
+    def test_every_route_builds_the_constructor_spec(self, capsys, tmp_path, family, explicit):
+        params = FAMILY_PARAMS[family] if explicit else {}
+        spec = getattr(P, family)(**params)
+        assert P.build_spec(family, params) == spec
+        assert P.spec_from_text(spec.to_text()) == spec
+        flags = ["--params", *(f"{k}={v!r}" for k, v in params.items())] if params else []
+        code, data = run_json(capsys, ["potentials", "eval", "--family", family, *flags])
+        echoed = dict(data["spec"])
+        assert code == 0 and (echoed.pop("family"), echoed.pop("dimension")) == (family, 3)
+        assert P.build_spec(family, echoed) == spec
+        path = tmp_path / "spec.txt"
+        path.write_text(spec.to_text())
+        assert run_json(capsys, ["potentials", "eval", "--spec-file", str(path)]) == (0, data)
+
+    def test_step_table_spec_file_round_trip(self, capsys, tmp_path):
+        spec = P.step_table((0.5, 1.0), (-2.0, 1.0))
+        path = tmp_path / "step.spec"
+        path.write_text(spec.to_text())
+        code, data = run_json(capsys, ["potentials", "eval", "--spec-file", str(path), "--r", "0.7"])
+        echoed = data["spec"]
+        family, dimension = echoed.pop("family"), echoed.pop("dimension")
+        assert code == 0 and data["value"] == 1.0
+        assert P.build_spec(family, echoed, dimension) == spec
+
+    def test_spec_file_with_family_only_takes_the_defaults(self, capsys, tmp_path):
+        path = tmp_path / "hc.spec"
+        path.write_text("family = hard_core\n")
+        code, from_file = run_json(capsys, ["potentials", "eval", "--spec-file", str(path)])
+        _, from_flag = run_json(capsys, ["potentials", "eval", "--family", "hard_core"])
+        assert code == 0 and from_file == from_flag
+        assert from_file["spec"] == {"family": "hard_core", "dimension": 3, "a": 1.0}
+
+    @pytest.mark.parametrize("text,message", [
+        ("a = 1\n", "no 'family' line"),
+        ("family = custom\n", "unknown family 'custom'"),
+        ("family = ruelle\nR = 1\ndelta = 2\n", "need 0 < delta < R"),
+        ("family = hard_core\nradius = 2\n", "unknown parameter 'radius'"),
+        ("family = hard_core\na\n", "'a' is not of the form key = value"),
+    ], ids=["no-family", "custom", "ruelle-delta", "unknown-param", "no-equals"])
+    def test_spec_file_refusals(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.spec"
+        path.write_text(text)
+        assert_usage_error(capsys, ["potentials", "eval", "--spec-file", str(path)], message)
 
 
 class TestMayerCommand:
@@ -177,12 +240,27 @@ class TestHarness:
          "frontier states"),
         (["mayer", "coefficients", "--family", "square_well", "--params", "A=inf", "R=0.5",
           "delta=1", "--beta", "800", "--n-max", "3"], "overflows"),
+        (["hardsphere", "gtilde", "--samples", "0", "--k", "3"], "samples >= 1"),
+        (["mayer", "virial", "--Ctilde", "0"], "Ctilde > 0"),
+        (["ising", "z", "--L", "0"], "L >= 1"),
+        (["ising", "magnetization", "--L", "0"], "L >= 1"),
+        (["polymer", "subset-check", "--polymers", "0"], "n_polymers"),
+        (["potentials", "ruelle-ratios", "--s-max", "2"], "s_max >= 4"),
+        (["polymer", "catalog", "--which", "israel"], "missing parameter 'I_a'"),
+        (["polymer", "catalog", "--which", "israel", "--params", "I_a=1", "I_bar=1", "a=1",
+          "zz=2"], "unknown parameter 'zz'"),
+        (["potentials", "eval", "--family", "hard_core", "--params", "radius=2"],
+         "unknown parameter 'radius'"),
+        (["potentials", "eval", "--family", "ruelle", "--params", "R=1", "delta=2"],
+         "need 0 < delta < R"),
+        (["potentials", "eval", "--params", "A"], "'A' is not of the form key = value"),
+        (["potentials", "eval", "--spec-file", "no-such-dir/p.spec"], "cannot open"),
+        (["ursell", "--matrix-file", "no-such-dir/m.txt"], "cannot open"),
+        (["polymer", "partition", "--system-file", "no-such-dir/s.txt"], "cannot open"),
+        (["graphs", "count", "--n", "3", "--output", "no-such-dir/out.json"], "cannot open"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and message in captured.err
+        assert_usage_error(capsys, argv, message)
 
     def test_empty_csv_is_header_only(self, capsys):
         assert main(["verify", "--max-n", "1", "--format", "csv"]) == 0

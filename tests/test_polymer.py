@@ -367,10 +367,22 @@ class TestCriteria:
             full = PL.criteria(PL.CriterionInput(s, {g: c for g in s.polymers}))
             for g in s.polymers:
                 r = full[g]
-                assert r.fp_exact == (len(s.neighborhood(g)) <= PL.FP_NEIGHBOR_CAP)
+                assert r.fp_exact
                 for which, field in (("kp", r.r_kp), ("dob", r.r_dob), ("fp", r.r_fp)):
                     assert PL.constant_mu_radius(s, g, which, c) == field  # bit for bit
-        assert not full["c"].fp_exact if model == "star30" else all(r.fp_exact for r in full.values())
+            if model == "star30":  # the centre's neighborhood partition function is c + (1 + c)^30
+                assert full["c"].r_fp == pytest.approx(c / (c + (1 + c) ** 30), rel=1e-12)
+                assert full["c"].r_fp > full["c"].r_dob
+
+    def test_fp_falls_back_where_the_recursion_refuses(self, monkeypatch):
+        s = PL.delta_regular_system(30)
+        mu = {g: 0.05 for g in s.polymers}
+        monkeypatch.setattr(PL, "VOLUME_CAP", 30)
+        full = PL.criteria(PL.CriterionInput(s, mu))
+        centre, leaf = full["c"], next(r for g, r in full.items() if g != "c")
+        assert not centre.fp_exact and leaf.fp_exact
+        assert centre.r_fp == pytest.approx(0.05 / 1.05**31, rel=1e-12)  # the product bound
+        assert PL.constant_mu_radius(s, "c", "fp", 0.05) == centre.r_fp
 
     def test_one_polymer_radius_refusals(self):
         s = PL.triangular_window(1)
@@ -417,6 +429,13 @@ class TestSubsetGas:
             assert rep.condition.satisfied
             assert rep.verified
             assert rep.max_pinned_sum <= math.log(2.0) + 1e-9
+
+    def test_random_gas_refuses_more_polymers_than_subsets(self):
+        rng = random.Random(0)
+        assert len(PL.random_subset_gas(list(range(8)), 92, 3, rng)) == 92  # C(8,1..3) = 8+28+56
+        for count in (0, 93, 300):
+            with pytest.raises(ValueError, match="n_polymers <= 92"):
+                PL.random_subset_gas(list(range(8)), count, 3, rng)
 
     def test_violated_condition_reported(self):
         s = PL.subset_gas_system(["x", "y"], {frozenset({"x"}): 3.0, frozenset({"y"}): 3.0})
@@ -467,6 +486,12 @@ class TestBoundsCatalog:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown bound"):
             PL.bounds_catalog("nope")
+
+    def test_missing_and_unknown_parameters_named(self):
+        with pytest.raises(ValueError, match="missing parameter 'I_a', missing parameter 'I_bar'"):
+            PL.bounds_catalog("israel", a=1.0)
+        with pytest.raises(ValueError, match="unknown parameter 'zz'"):
+            PL.bounds_catalog("israel", I_a=0.01, I_bar=0.5, a=1.0, zz=2.0)
 
 
 class TestAdjacencyText:

@@ -43,7 +43,7 @@ class TestEvaluation:
                      P.ruelle(1.0, 0.4), P.lj_type(1.0, 2.0, 0.5, 0.9),
                      P.lennard_jones(), P.step_table((0.5, 1.0), (-2.0, 1.0))):
             back = P.spec_from_text(spec.to_text())
-            assert back.family == spec.family
+            assert back == spec
             for r in (0.1, 0.6, 0.9, 1.4, 3.0):
                 assert P.potential_eval(back, r) == P.potential_eval(spec, r)
 
@@ -147,7 +147,7 @@ class TestSphereVolume:
 class TestRegularityIntegrals:
     def test_hard_core_closed_form(self):
         for d, expect in ((1, 2.0), (2, math.pi), (3, 4 * math.pi / 3)):
-            ri = P.regularity_integrals(P.hard_core(1.0, dimension=d), 2.5, d=d)
+            ri = P.regularity_integrals(P.hard_core(1.0, dimension=d), 2.5)
             assert ri.c == pytest.approx(expect, abs=1e-8)
             assert ri.c_tilde == pytest.approx(expect, abs=1e-8)
 
