@@ -106,8 +106,12 @@ def _pairs(items: list[str] | None) -> dict[str, float]:
 
 def _spec_from_args(args) -> potentials.PairPotentialSpec:
     if args.spec_file:
+        given = [f"--{k}" for k in ("family", "params", "dimension") if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"--spec-file excludes {', '.join(given)}: the file gives the whole spec")
         return potentials.spec_from_text(_read(args.spec_file))
-    return potentials.build_spec(args.family, _pairs(args.params), args.dimension)
+    return potentials.build_spec(args.family or "hard_core", _pairs(args.params),
+                                 3 if args.dimension is None else args.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +124,12 @@ def _cmd_graphs(args) -> int:
     if args.action == "count":
         payload.update(
             graphs=2 ** graphs.num_pairs(n),
-            connected=graphs.count_connected(n, cap=args.cap),
+            connected=graphs.count_connected(n),
             trees=n ** max(n - 2, 0),
-            alternating_sum=graphs.alternating_connected_sum(n, cap=args.cap),
+            alternating_sum=graphs.alternating_connected_sum(n),
         )
     elif args.action == "verify-scheme":
-        graphs.connected_masks(n, cap=args.cap)  # refuses n beyond the cap before any tree table
+        graphs.connected_masks(n)  # refuses n beyond the cap before any tree table
         if args.scheme == "penrose":
             added = graphs.penrose_added(n)
         else:
@@ -134,7 +138,7 @@ def _cmd_graphs(args) -> int:
             rng = _random.Random(args.seed)
             w = {p: rng.random() for p in graphs.vertex_pairs(n)}
             added = graphs.kruskal_added(graphs.EdgeOrder.from_weights(n, w))
-        rep = graphs.verify_partition_scheme(n, added, cap=args.cap)
+        rep = graphs.verify_partition_scheme(n, added)
         payload.update(scheme=args.scheme, seed=args.seed, ok=bool(rep), reason=rep.reason,
                        intervals=rep.interval_count)
         if rep.counterexample is not None:
@@ -250,15 +254,13 @@ def _cmd_mayer(args) -> int:
                    "ratio": rb.ratio, "log_ratio": rb.log_ratio}
         _emit(args, payload)
         return 0
-    if args.action == "virial":
-        tools = mayer.virial_tools(args.beta, args.Bbar or 0.0, args.Ctilde)
-        w, val = tools.max_point()
-        payload = {"command": "mayer", "action": "virial", "beta": args.beta,
-                   "Bbar": args.Bbar or 0.0, "Ctilde": args.Ctilde,
-                   "virial_radius": tools.virial_radius, "max_w": w, "max_value": val}
-        _emit(args, payload)
-        return 0
-    raise SystemExit(f"unknown mayer action {args.action!r}")
+    tools = mayer.virial_tools(args.beta, args.Bbar or 0.0, args.Ctilde)
+    w, val = tools.max_point()
+    payload = {"command": "mayer", "action": "virial", "beta": args.beta,
+               "Bbar": args.Bbar or 0.0, "Ctilde": args.Ctilde,
+               "virial_radius": tools.virial_radius, "max_w": w, "max_value": val}
+    _emit(args, payload)
+    return 0
 
 
 def _build_model(name: str, rho: float) -> tuple[polymer.PolymerSystem, object]:
@@ -311,29 +313,27 @@ def _cmd_polymer(args) -> int:
                    "max_pinned_sum": rep.max_pinned_sum}
         _emit(args, payload)
         return 0 if rep else 1
-    if args.action == "catalog":
-        params = _pairs(args.params)
-        if "d" in params:
-            params["d"] = int(params["d"])
-        rep = polymer.bounds_catalog(args.which, **params)
-        payload = {"command": "polymer", "action": "catalog", "which": args.which,
-                   "formula": rep.formula, "inputs": rep.inputs, "threshold": rep.threshold,
-                   "value": rep.value, "satisfied": rep.satisfied, "margin": rep.margin}
-        _emit(args, payload)
-        return 0
-    raise SystemExit(f"unknown polymer action {args.action!r}")
+    params = _pairs(args.params)
+    if "d" in params:
+        params["d"] = int(params["d"])
+    rep = polymer.bounds_catalog(args.which, **params)
+    payload = {"command": "polymer", "action": "catalog", "which": args.which,
+               "formula": rep.formula, "inputs": rep.inputs, "threshold": rep.threshold,
+               "value": rep.value, "satisfied": rep.satisfied, "margin": rep.margin}
+    _emit(args, payload)
+    return 0
 
 
 def _cmd_ising(args) -> int:
     if args.action == "z":
         rows = []
         for beta in args.beta:
-            zb = ising.brute_force_Z(args.L, beta, boundary=args.boundary, cap=args.cap)
+            zb = ising.brute_force_Z(args.L, beta, boundary=args.boundary)
             xi_h, z_h = ising.high_T_polymer_Z(args.L, beta)
-            low = ising.low_T_contour_Z(args.L, beta, cap=args.cap)
-            zbp = ising.brute_force_Z(args.L, beta, boundary="plus", cap=args.cap)
-            mag = ising.magnetization(args.L, beta, boundary=args.boundary, cap=args.cap)
-            mplus = ising.magnetization(args.L, beta, boundary="plus", cap=args.cap)
+            low = ising.low_T_contour_Z(args.L, beta)
+            zbp = ising.brute_force_Z(args.L, beta, boundary="plus")
+            mag = ising.magnetization(args.L, beta, boundary=args.boundary)
+            mplus = ising.magnetization(args.L, beta, boundary="plus")
             rows.append({
                 "beta": beta, "Z_brute": zb, "Z_highT": z_h, "Xi_highT": xi_h,
                 "Z_lowT": low.z_reconstructed, "Xi_lowT": low.xi_contour,
@@ -357,7 +357,7 @@ def _cmd_ising(args) -> int:
         return 0
     if args.action == "magnetization":
         beta = args.beta[0] if args.beta else 2.0
-        rep = ising.magnetization(args.L, beta, boundary=args.boundary, cap=args.cap)
+        rep = ising.magnetization(args.L, beta, boundary=args.boundary)
         payload = {"command": "ising", "action": "magnetization", "L": args.L, "beta": beta,
                    "boundary": args.boundary, "M": rep.mean,
                    "low_t_bound": rep.low_t_bound, "low_t_bound_ok": rep.low_t_bound_ok,
@@ -365,17 +365,15 @@ def _cmd_ising(args) -> int:
                    "per_site": rep.per_site.tolist()}
         _emit(args, payload)
         return 0
-    if args.action == "thresholds":
-        rep = ising.animal_counts_and_thresholds()
-        payload = {"command": "ising", "action": "thresholds", "a": rep.a,
-                   "activity_root": rep.activity_root,
-                   "beta0": rep.beta0, "beta1": rep.beta1,
-                   "beta0_prime": rep.beta0_prime, "beta1_prime": rep.beta1_prime,
-                   "g_root_x": rep.g_root_x,
-                   "animal_counts": {str(k): v for k, v in sorted(rep.counts.items())}}
-        _emit(args, payload)
-        return 0
-    raise SystemExit(f"unknown ising action {args.action!r}")
+    rep = ising.animal_counts_and_thresholds()
+    payload = {"command": "ising", "action": "thresholds", "a": rep.a,
+               "activity_root": rep.activity_root,
+               "beta0": rep.beta0, "beta1": rep.beta1,
+               "beta0_prime": rep.beta0_prime, "beta1_prime": rep.beta1_prime,
+               "g_root_x": rep.g_root_x,
+               "animal_counts": {str(k): v for k, v in sorted(rep.counts.items())}}
+    _emit(args, payload)
+    return 0
 
 
 def _cmd_hardsphere(args) -> int:
@@ -394,12 +392,10 @@ def _cmd_hardsphere(args) -> int:
                    "gtable": list(r.gtable)}
         _emit(args, payload)
         return 0
-    if args.action == "volume":
-        payload = {"command": "hardsphere", "action": "volume", "n": args.n, "r": args.r,
-                   "value": hardsphere.sphere_volume(args.n, args.r)}
-        _emit(args, payload)
-        return 0
-    raise SystemExit(f"unknown hardsphere action {args.action!r}")
+    payload = {"command": "hardsphere", "action": "volume", "n": args.n, "r": args.r,
+               "value": hardsphere.sphere_volume(args.n, args.r)}
+    _emit(args, payload)
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -423,11 +419,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default="hard_core",
+    p.add_argument("--family", default=None,
                    choices=("hard_core", "square_well", "ruelle", "lj_type", "lennard_jones"))
     p.add_argument("--params", nargs="*", metavar="k=v")
-    p.add_argument("--dimension", type=int, default=3)
-    p.add_argument("--spec-file", default=None)
+    p.add_argument("--dimension", type=int, default=None)
+    p.add_argument("--spec-file", default=None, help="excludes --family, --params and --dimension")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graphs", help="counts and partition-scheme verification")
     p.add_argument("action", choices=("count", "verify-scheme"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=graphs.GRAPH_CAP)
     p.add_argument("--scheme", choices=("penrose", "kruskal"), default="penrose")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
@@ -502,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=3)
     p.add_argument("--beta", type=float, nargs="*", default=[0.3])
     p.add_argument("--boundary", choices=("free", "plus", "minus"), default="free")
-    p.add_argument("--cap", type=int, default=ising.BRUTE_CAP)
     _add_common(p)
     p.set_defaults(fn=_cmd_ising)
 

@@ -12,7 +12,9 @@ table (``penrose_added``, ``kruskal_added``).  Such an array is a partition
 scheme; ``verify_partition_scheme`` checks that its boolean intervals
 [tree, closure(tree)] partition the connected graphs.
 
-Vertices are 0-indexed and rooted trees are rooted at vertex 0.
+Vertices are 0-indexed and rooted trees are rooted at vertex 0.  The sizes
+are capped by the module constants ``GRAPH_CAP`` and ``TREE_CAP``, read when
+a table is built: a session may raise them, after clearing the cache.
 """
 
 from __future__ import annotations
@@ -24,22 +26,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-GRAPH_CAP = 7       # enumeration over 2^(n(n-1)/2) bitmasks; n=7 is 2^21
-GRAPH_CAP_HARD = 8  # opt-in ceiling (2^28 graphs)
-TREE_CAP = 9        # n^(n-2) trees; n=9 is 4782969
+GRAPH_CAP = 7  # enumeration over 2^(n(n-1)/2) bitmasks; n=7 is 2^21
+TREE_CAP = 9   # n^(n-2) trees; n=9 is 4782969
 MASK_CHUNK = 1 << 20  # masks per vectorised step; bounds the working memory for every n
 
 
 class CapExceededError(ValueError):
     """Requested size is beyond the enumeration cap."""
-
-
-def _check_cap(n: int, cap: int, hard: int, what: str) -> None:
-    if n > min(cap, hard):
-        raise CapExceededError(
-            f"{what} enumeration refused for n={n}: cap is {min(cap, hard)} "
-            f"(override with cap=..., hard ceiling {hard})"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -176,36 +169,45 @@ def is_connected(g: LabeledGraph) -> bool:
     return _mask_connected(g.n, g.mask)
 
 
-def enumerate_graphs(n: int, cap: int = GRAPH_CAP) -> Iterator[LabeledGraph]:
+def enumerate_graphs(n: int) -> Iterator[LabeledGraph]:
     """All 2^(n(n-1)/2) graphs on [n], each once, in bitmask order."""
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_cap(n, cap, GRAPH_CAP_HARD, "graph")
+    if n > GRAPH_CAP:
+        raise CapExceededError(f"graph enumeration refused for n={n}: cap is {GRAPH_CAP}")
     for mask in range(1 << num_pairs(n)):
         yield LabeledGraph(n, mask)
 
 
 @lru_cache(maxsize=None)
-def _connected_table(n: int) -> np.ndarray:
-    """Bitset BFS from vertex 0 over every mask at once, a chunk at a time.
+def connected_masks(n: int) -> np.ndarray:
+    """Bitmasks of all connected graphs on [n]: a read-only, ascending int64
+    array, built once per n by a bitset BFS from vertex 0 over every mask at
+    once, a chunk at a time.
 
-    Adjacency rows are uint8 bitsets, which hold n <= GRAPH_CAP_HARD = 8.
+    Adjacency rows are bitsets of the smallest unsigned dtype that holds n
+    bits, so a raised ``GRAPH_CAP`` cannot overflow them.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > GRAPH_CAP:
+        raise CapExceededError(f"graph enumeration refused for n={n}: cap is {GRAPH_CAP}")
     pairs = vertex_pairs(n)
     total = 1 << len(pairs)
     full = (1 << n) - 1
+    bitset = np.min_scalar_type(full)
     # sized for every mask; pages past the final fill are never touched
     table = np.empty(total, dtype=np.int64)
     filled = 0
     for start in range(0, total, MASK_CHUNK):
         masks = np.arange(start, min(start + MASK_CHUNK, total), dtype=np.int64)
         masks = masks[np.bitwise_count(masks) >= n - 1]
-        adj = np.zeros((n, masks.size), dtype=np.uint8)
+        adj = np.zeros((n, masks.size), dtype=bitset)
         for k, (i, j) in enumerate(pairs):
-            bit = (masks >> k & 1).astype(np.uint8)
+            bit = (masks >> k & 1).astype(bitset)
             adj[i] |= bit << j
             adj[j] |= bit << i
-        seen = np.ones(masks.size, dtype=np.uint8)
+        seen = np.ones(masks.size, dtype=bitset)
         while True:
             grown = seen.copy()
             for v in range(n):
@@ -221,35 +223,21 @@ def _connected_table(n: int) -> np.ndarray:
     return table
 
 
-def connected_masks(n: int, cap: int = GRAPH_CAP) -> np.ndarray:
-    """Bitmasks of all connected graphs on [n]: a read-only, ascending int64
-    array, built once per n whatever ``cap`` is passed."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_cap(n, cap, GRAPH_CAP_HARD, "graph")
-    return _connected_table(n)
-
-
-# the cache is keyed by n alone; its hits and misses read under the public name
-connected_masks.cache_info = _connected_table.cache_info
-connected_masks.cache_clear = _connected_table.cache_clear
-
-
-def count_connected(n: int, cap: int = GRAPH_CAP) -> int:
+def count_connected(n: int) -> int:
     """Exact number of connected graphs on [n], by brute-force filtering."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return len(connected_masks(n, cap))
+    return len(connected_masks(n))
 
 
-def alternating_connected_sum(n: int, cap: int = GRAPH_CAP) -> int:
+def alternating_connected_sum(n: int) -> int:
     """Signed sum over connected graphs of (-1)^(edge count).
 
     Equals (-1)^(n-1) * (n-1)!: the surviving terms are the linear trees.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    masks = connected_masks(n, cap)
+    masks = connected_masks(n)
     odd = int(np.count_nonzero(np.bitwise_count(masks) & 1))
     return len(masks) - 2 * odd
 
@@ -671,7 +659,7 @@ def _interval_members(mask: np.ndarray, added: np.ndarray, sizes: np.ndarray) ->
                 yield (members | (rest @ (k >> np.arange(s - low) & 1))[:, None]).ravel()
 
 
-def verify_partition_scheme(n: int, added: np.ndarray, cap: int = GRAPH_CAP) -> PartitionSchemeReport:
+def verify_partition_scheme(n: int, added: np.ndarray) -> PartitionSchemeReport:
     """Check that the intervals [tree, tree + added pairs], one per row of
     ``tree_table(n)``, partition the connected graphs on [n].
 
@@ -681,7 +669,7 @@ def verify_partition_scheme(n: int, added: np.ndarray, cap: int = GRAPH_CAP) -> 
     the connected graphs exactly when they cover each one and their sizes
     2^|added| add up to the connected count.
     """
-    _check_cap(n, cap, GRAPH_CAP_HARD, "graph")
+    table = connected_masks(n)  # refuses n beyond GRAPH_CAP before the coverage array
     if n < 2:
         raise ValueError("need n >= 2")
     t = tree_table(n)
@@ -701,7 +689,6 @@ def verify_partition_scheme(n: int, added: np.ndarray, cap: int = GRAPH_CAP) -> 
     covered = np.zeros(1 << shape[1], dtype=bool)
     for members in _interval_members(t.mask, added, sizes):
         covered[members] = True
-    table = connected_masks(n, cap)
     uncovered = np.flatnonzero(~covered[table])
     if uncovered.size:
         return PartitionSchemeReport(

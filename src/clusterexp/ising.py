@@ -12,7 +12,10 @@ dual-lattice contours and back).  The duality map phi(beta) = -ln(tanh beta)/2 e
 activities on the same animal family; its fixed point is the critical
 coupling ln(1 + sqrt 2)/2.
 
-J = 1 by convention throughout: beta carries the scale.
+The box side is capped by module constants, read when a table is built:
+``BRUTE_CAP`` for the configuration sweep behind the partition function,
+the contour sum and the magnetization, ``HIGH_T_CAP`` for the even
+subgraphs.  J = 1 by convention throughout: beta carries the scale.
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import CapExceededError
+from .graphs import MASK_CHUNK, CapExceededError
 
-BRUTE_CAP = 5
-BRUTE_CAP_HARD = 6
-HIGH_T_CAP = 6
-_CHUNK = 1 << 20
+BRUTE_CAP = 5   # the density-of-states sweep visits 2^(L^2) configurations
+HIGH_T_CAP = 6  # the even-subgraph walk visits 2^((L-1)^2) cycle-space elements
 
 
 def _site(r: int, c: int, L: int) -> int:
@@ -64,8 +65,8 @@ def boundary_pair_count(L: int) -> int:
 
 def _config_chunks(L: int):
     total = 1 << (L * L)
-    for lo in range(0, total, _CHUNK):
-        yield np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
+    for lo in range(0, total, MASK_CHUNK):
+        yield np.arange(lo, min(lo + MASK_CHUNK, total), dtype=np.uint64)
 
 
 def _opposite_bond_counts(configs: np.ndarray, L: int, boundary: str) -> np.ndarray:
@@ -89,9 +90,12 @@ def _opposite_bond_counts(configs: np.ndarray, L: int, boundary: str) -> np.ndar
 def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     """Exact histograms over all 2^(L^2) configurations by the number k of
     opposite-spin pairs: N[k] configurations, and M[x, k] the sum of the spin
-    sigma_x over them.  Read-only int64; one sweep per (L, boundary)."""
+    sigma_x over them.  Read-only int64; one sweep per (L, boundary), refused
+    beyond BRUTE_CAP."""
     if L < 1:
         raise ValueError("need L >= 1")
+    if L > BRUTE_CAP:
+        raise CapExceededError(f"brute force capped at L={BRUTE_CAP}")
     n_pairs = 2 * L * (L - 1) + (boundary_pair_count(L) if boundary != "free" else 0)
     bins = n_pairs + 1
     N = np.zeros(bins, dtype=np.int64)
@@ -113,11 +117,8 @@ def _bin_weights(N: np.ndarray, beta: float, J: float) -> np.ndarray:
     return np.exp(beta * J * (N.size - 1 - 2 * np.arange(N.size)))
 
 
-def brute_force_Z(L: int, beta: float, J: float = 1.0, boundary: str = "free",
-                  cap: int = BRUTE_CAP) -> float:
+def brute_force_Z(L: int, beta: float, J: float = 1.0, boundary: str = "free") -> float:
     """Exact partition function by summation over all 2^(L^2) configurations."""
-    if L > min(cap, BRUTE_CAP_HARD):
-        raise CapExceededError(f"brute force capped at L={min(cap, BRUTE_CAP_HARD)}")
     N, _ = _density_of_states(L, boundary)
     # exactly-rounded accumulation over exact integer counts: the plus and
     # minus boundaries share N, so their sums match bit for bit
@@ -132,17 +133,13 @@ def _edge_index(L: int) -> dict[tuple[int, int], int]:
     return {b: k for k, b in enumerate(internal_bonds(L))}
 
 
-def even_subgraph_size_counts(L: int, cap: int = HIGH_T_CAP) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def even_subgraph_size_counts(L: int) -> tuple[int, ...]:
     """count[m] = number of even-degree edge subsets of the L x L box with m
     edges, generated as the span of the (L-1)^2 plaquette cycles; computed
-    once per L whatever ``cap`` is passed."""
-    if L > cap:
-        raise CapExceededError(f"even-subgraph enumeration capped at L={cap}")
-    return _even_subgraph_counts(L)
-
-
-@lru_cache(maxsize=None)
-def _even_subgraph_counts(L: int) -> tuple[int, ...]:
+    once per L."""
+    if L > HIGH_T_CAP:
+        raise CapExceededError(f"even-subgraph enumeration capped at L={HIGH_T_CAP}")
     eidx = _edge_index(L)
     plaquettes = []
     for r in range(L - 1):
@@ -162,11 +159,6 @@ def _even_subgraph_counts(L: int) -> tuple[int, ...]:
         current ^= plaquettes[(t & -t).bit_length() - 1]
         counts[current.bit_count()] += 1
     return tuple(counts)
-
-
-# the cache is keyed by L alone; its hits and misses read under the public name
-even_subgraph_size_counts.cache_info = _even_subgraph_counts.cache_info
-even_subgraph_size_counts.cache_clear = _even_subgraph_counts.cache_clear
 
 
 def high_T_polymer_Z(L: int, beta: float, J: float = 1.0) -> tuple[float, float]:
@@ -297,7 +289,7 @@ def _contour_energy_identity(L: int) -> tuple[bool, int | None]:
     return identity_ok, min(sizes) if sizes else None
 
 
-def low_T_contour_Z(L: int, beta: float, J: float = 1.0, cap: int = BRUTE_CAP) -> ContourReport:
+def low_T_contour_Z(L: int, beta: float, J: float = 1.0) -> ContourReport:
     """Contour partition function under + boundary.
 
     Sums e^(-2 beta J B-) over the opposite-pair counts B- of the + boundary
@@ -306,8 +298,6 @@ def low_T_contour_Z(L: int, beta: float, J: float = 1.0, cap: int = BRUTE_CAP) -
     (all for L <= 3, sampled beyond; checked once per L); the reconstruction
     e^(beta J Btilde) Xi equals the brute-force + boundary sum.
     """
-    if L > min(cap, BRUTE_CAP_HARD):
-        raise CapExceededError(f"contour extraction capped at L={min(cap, BRUTE_CAP_HARD)}")
     btilde = 2 * L * (L + 1)
     N, _ = _density_of_states(L, "plus")
     xi = math.fsum((N * np.exp(-2.0 * beta * J * np.arange(N.size))).tolist())
@@ -326,11 +316,6 @@ def dual_coupling(beta: float) -> float:
     if not 0.0 < t < 1.0:
         raise ValueError("need tanh(beta) in (0, 1)")
     return -0.5 * math.log(t)
-
-
-def critical_coupling() -> float:
-    """Fixed point of the duality map: ln(1 + sqrt 2) / 2."""
-    return 0.5 * math.log(1.0 + math.sqrt(2.0))
 
 
 @dataclass
@@ -406,8 +391,7 @@ def _site_boundary_distance(r: int, c: int, L: int) -> int:
     return 1 + min(r, c, L - 1 - r, L - 1 - c)
 
 
-def magnetization(L: int, beta: float, J: float = 1.0, boundary: str = "free",
-                  cap: int = BRUTE_CAP) -> MagnetizationReport:
+def magnetization(L: int, beta: float, J: float = 1.0, boundary: str = "free") -> MagnetizationReport:
     """Exact per-site expectations by enumeration, with the two rigorous
     bound checks attached.
 
@@ -416,8 +400,6 @@ def magnetization(L: int, beta: float, J: float = 1.0, boundary: str = "free",
     gives 0.0 and the minus boundary gives the exact negation of the plus
     boundary.
     """
-    if L > min(cap, BRUTE_CAP_HARD):
-        raise CapExceededError(f"magnetization capped at L={min(cap, BRUTE_CAP_HARD)}")
     n = L * L
     N, M = _density_of_states(L, boundary)
     w = _bin_weights(N, beta, J)

@@ -97,12 +97,11 @@ def _site_matrix(volume: DiscreteVolume, spec: PairPotentialSpec, beta: float) -
     return vals
 
 
-def lattice_integrals(volume: DiscreteVolume, spec: PairPotentialSpec, beta: float) -> tuple[float, float]:
-    """Discrete analogues of the two f-function integrals on this volume:
-    max over sites x of sum over sites y (including y = x) of
-    |e^(-beta V(x-y)) - 1| and of 1 - e^(-beta |V(x-y)|)."""
-    vals = _site_matrix(volume, spec, beta)
-    m = volume.size
+def lattice_integrals(vals: list[list[float]]) -> tuple[float, float]:
+    """Discrete analogues of the two f-function integrals on a volume, from
+    its site matrix beta V(x-y): max over sites x of sum over sites y
+    (including y = x) of |e^(-beta V(x-y)) - 1| and of 1 - e^(-beta |V(x-y)|)."""
+    m = len(vals)
     c = ct = 0.0
     for i in range(m):
         try:
@@ -231,7 +230,7 @@ def mayer_coefficients(
             f"sites could hold {bound} at n_max = {top}"
         )
     hard = all(v == 0.0 or v == INF for row in vals for v in row)
-    c_lat, ct_lat = lattice_integrals(volume, spec, beta)
+    c_lat, ct_lat = lattice_integrals(vals)
     h = _log_series(_grand_partition(vals, order, top))
     try:
         values = [h[n] / m if hard else float(h[n] / m) for n in range(1, top + 1)]

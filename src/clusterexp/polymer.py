@@ -30,6 +30,8 @@ from .ursell import INF, InteractionMatrix, ursell_graph_sum
 VOLUME_CAP = 128  # polymers per region; also bounds the recursion depth
 STATE_CAP = 1 << 16  # memo states of the deletion recursion
 CLUSTER_ORDER_CAP = 6
+CLUSTER_VOLUME_CAP = 12  # polymers in a truncated cluster expansion
+POLYNOMIAL_CAP = 20  # polymers in the polynomial form, which can hold 2^20 monomials
 PINNED_ORDER_CAP = 16
 SUBSET_VERTEX_CAP = 12
 
@@ -222,8 +224,8 @@ def xi_polynomial(sys: PolymerSystem, region: Iterable[Polymer] | None = None) -
     """The exact partition function as a multilinear polynomial: one monomial
     per pairwise-compatible family."""
     mask = _region_mask(sys, region)
-    if mask.bit_count() > 20:  # the output can hold 2^20 monomials
-        raise CapExceededError("polynomial form capped at 20 polymers")
+    if mask.bit_count() > POLYNOMIAL_CAP:
+        raise CapExceededError(f"polynomial form capped at {POLYNOMIAL_CAP} polymers")
     z = [ActivityPolynomial.monomial([g], 1) for g in sys.polymers]
     return _independence(sys, [mask], z, ActivityPolynomial.constant(1))[0]
 
@@ -268,8 +270,8 @@ def cluster_log_truncated(sys: PolymerSystem, region: Iterable[Polymer] | None =
     if order > CLUSTER_ORDER_CAP:
         raise CapExceededError(f"order capped at {CLUSTER_ORDER_CAP}")
     region = sorted(frozenset(sys.polymers if region is None else region), key=repr)
-    if len(region) > 12:
-        raise CapExceededError("cluster truncation capped at 12 polymers")
+    if len(region) > CLUSTER_VOLUME_CAP:
+        raise CapExceededError(f"cluster truncation capped at {CLUSTER_VOLUME_CAP} polymers")
     cache: dict[tuple, int] = {}
     poly = ActivityPolynomial()
     for n in range(1, order + 1):

@@ -89,16 +89,23 @@ def parse_pairs(items: Iterable[str]) -> dict[str, str]:
     return pairs
 
 
+def _check_lengths(**lengths: float) -> None:
+    """Refuse, by name, each length that is not a positive finite number."""
+    for name, value in lengths.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite length, got {value!r}")
+
+
 def hard_core(a: float = 1.0, dimension: int = 3) -> PairPotentialSpec:
     """V = +inf for r <= a, 0 beyond."""
-    if a <= 0:
-        raise ValueError("hard-core radius must be positive")
+    _check_lengths(a=a)
     return PairPotentialSpec("hard_core", (("a", a),), dimension)
 
 
 def square_well(A: float = 2.0, R: float = 1.0, delta: float = 0.25,
                 dimension: int = 3) -> PairPotentialSpec:
     """V = A on [0, R], -1 on (R, R+delta], 0 beyond."""
+    _check_lengths(R=R, delta=delta)
     return PairPotentialSpec("square_well", (("A", A), ("R", R), ("delta", delta)), dimension)
 
 
@@ -108,7 +115,8 @@ def ruelle(R: float = 1.0, delta: float = 0.5, dimension: int = 3) -> PairPotent
     Finite range and bounded, yet unstable: close-packed clusters with
     nearest-neighbour spacing R have more than 11n/2 bonds once n is large.
     """
-    if not 0 < delta < R:
+    _check_lengths(R=R, delta=delta)
+    if not delta < R:
         raise ValueError("need 0 < delta < R")
     return PairPotentialSpec("ruelle", (("R", R), ("delta", delta)), dimension)
 
@@ -120,13 +128,15 @@ def lj_type(c1: float = 1.0, c2: float = 1.0, eps: float = 1.0, a: float = 1.0,
     The hardest member of the core/tail class: the core grows like
     xi(r) = c1 r^-(d+eps) with xi(r) r^d -> inf, the tail is integrable.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("need eps > 0 for an integrable tail")
+    _check_lengths(a=a)
     return PairPotentialSpec("lj_type", (("a", a), ("c1", c1), ("c2", c2), ("eps", eps)), dimension)
 
 
 def lennard_jones(epsilon: float = 1.0, sigma: float = 1.0, dimension: int = 3) -> PairPotentialSpec:
     """Classical 12-6 potential eps*((sigma/r)^12 - 2 (sigma/r)^6), minimum -eps at sigma."""
+    _check_lengths(sigma=sigma)
     return PairPotentialSpec("lennard_jones", (("epsilon", epsilon), ("sigma", sigma)), dimension)
 
 
@@ -137,6 +147,7 @@ def step_table(radii: Sequence[float], values: Sequence[float], dimension: int =
     values = tuple(float(v) for v in values)
     if len(radii) != len(values) or not radii:
         raise ValueError("radii and values must be equal-length and nonempty")
+    _check_lengths(**{f"radii[{k}]": r for k, r in enumerate(radii)})
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     return PairPotentialSpec("step_table", (("radii", radii), ("values", values)), dimension)

@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import (
-    GRAPH_CAP,
     MASK_CHUNK,
     CapExceededError,
     EdgeOrder,
@@ -135,14 +134,14 @@ class InteractionMatrix:
         return f"InteractionMatrix(n={self.n})"
 
 
-def ursell_graph_sum(V: InteractionMatrix, cap: int = GRAPH_CAP):
+def ursell_graph_sum(V: InteractionMatrix):
     """Brute-force route: sum over all connected graphs on [n].
 
     The edge product of every mask is tabulated by doubling over the pairs
     and gathered at the connected masks.  Returns 1 for n = 1.  Hard-core
     matrices give an exact int; others the exactly rounded float sum.
     """
-    masks = connected_masks(V.n, cap)
+    masks = connected_masks(V.n)
     hard = V.is_hard_core
     w = V.mayer_weights()
     prods = np.empty(1 << len(w), dtype=np.int8 if hard else np.float64)
@@ -179,15 +178,15 @@ def _gibbs_subsets(V: InteractionMatrix):
     return out
 
 
-def ursell_partition_formula(V: InteractionMatrix, cap: int = PARTITION_CAP):
+def ursell_partition_formula(V: InteractionMatrix):
     """Partition route: signed sum over set partitions of [n].
 
     Phi = sum over k of (-1)^(k-1) (k-1)! sum over partitions into k blocks
     of the product of the blocks' Gibbs factors e^(-U(block)).
     """
     n = V.n
-    if n > cap:
-        raise CapExceededError(f"partition formula refused for n={n}: cap is {cap} (Bell growth)")
+    if n > PARTITION_CAP:
+        raise CapExceededError(f"partition formula refused for n={n}: cap is {PARTITION_CAP} (Bell growth)")
     if n == 1:
         return 1
     gibbs = _gibbs_subsets(V)

@@ -1,6 +1,7 @@
 """Every explicit size cap refuses with ``CapExceededError``, a ``ValueError``
 whose message names the limit, before any enumeration starts."""
 
+import numpy as np
 import pytest
 
 from clusterexp import graphs as G
@@ -18,6 +19,10 @@ def free_polymers(count):
 REFUSALS = [
     ("graphs-connected", lambda: G.count_connected(G.GRAPH_CAP + 1), "cap is 7"),
     ("graphs-trees", lambda: G.tree_table(G.TREE_CAP + 1), "cap is 9"),
+    ("graphs-enumerate", lambda: next(G.enumerate_graphs(G.GRAPH_CAP + 1)), "cap is 7"),
+    ("graphs-alternating", lambda: G.alternating_connected_sum(G.GRAPH_CAP + 1), "cap is 7"),
+    ("graphs-verify-scheme",
+     lambda: G.verify_partition_scheme(G.GRAPH_CAP + 1, np.zeros((0, 0), dtype=bool)), "cap is 7"),
     ("ising-brute-force", lambda: I.brute_force_Z(I.BRUTE_CAP + 1, 0.3), "capped at L=5"),
     ("ising-even-subgraphs", lambda: I.even_subgraph_size_counts(I.HIGH_T_CAP + 1),
      "capped at L=6"),
@@ -25,13 +30,17 @@ REFUSALS = [
     ("ising-magnetization", lambda: I.magnetization(I.BRUTE_CAP + 1, 0.3), "capped at L=5"),
     ("ursell-partition", lambda: U.ursell_partition_formula(U.InteractionMatrix(11, {})),
      "cap is 10"),
+    ("ursell-graph-sum", lambda: U.ursell_graph_sum(U.InteractionMatrix(G.GRAPH_CAP + 1, {})),
+     "cap is 7"),
     ("polymer-volume", lambda: PL.partition_function(free_polymers(PL.VOLUME_CAP + 1)),
      "capped at 128 polymers"),
-    ("polymer-polynomial", lambda: PL.xi_polynomial(free_polymers(21)), "capped at 20 polymers"),
+    ("polymer-polynomial", lambda: PL.xi_polynomial(free_polymers(PL.POLYNOMIAL_CAP + 1)),
+     "capped at 20 polymers"),
     ("polymer-cluster-order",
      lambda: PL.cluster_log_truncated(free_polymers(2), order=PL.CLUSTER_ORDER_CAP + 1),
      "order capped at 6"),
-    ("polymer-cluster-volume", lambda: PL.cluster_log_truncated(free_polymers(13), order=1),
+    ("polymer-cluster-volume",
+     lambda: PL.cluster_log_truncated(free_polymers(PL.CLUSTER_VOLUME_CAP + 1), order=1),
      "capped at 12 polymers"),
     ("polymer-pinned-order",
      lambda: PL.pinned_series(free_polymers(1), 0, PL.PINNED_ORDER_CAP + 1, 0.5),
@@ -52,3 +61,11 @@ def test_cap_refusal_is_cap_exceeded(call, message):
     with pytest.raises(G.CapExceededError, match=message) as exc:
         call()
     assert isinstance(exc.value, ValueError)
+
+
+def test_cap_is_read_when_the_table_is_built(monkeypatch):
+    G.connected_masks.cache_clear()
+    monkeypatch.setattr(G, "GRAPH_CAP", 4)
+    with pytest.raises(G.CapExceededError, match="n=5: cap is 4"):
+        G.count_connected(5)
+    assert G.count_connected(4) == 38

@@ -118,6 +118,15 @@ class TestPotentialsCommand:
         path.write_text(text)
         assert_usage_error(capsys, ["potentials", "eval", "--spec-file", str(path)], message)
 
+    @pytest.mark.parametrize("flags", [["--family", "ruelle"], ["--params", "R=3"],
+                                       ["--params"], ["--dimension", "2"]],
+                             ids=["family", "params", "empty-params", "dimension"])
+    def test_spec_file_excludes_the_spec_flags(self, capsys, tmp_path, flags):
+        path = tmp_path / "hc.spec"
+        path.write_text("family = hard_core\n")
+        assert_usage_error(capsys, ["potentials", "eval", "--spec-file", str(path), *flags],
+                           f"--spec-file excludes {flags[0]}")
+
 
 class TestMayerCommand:
     def test_coefficient_csv_columns(self, capsys):
@@ -258,6 +267,15 @@ class TestHarness:
         (["ursell", "--matrix-file", "no-such-dir/m.txt"], "cannot open"),
         (["polymer", "partition", "--system-file", "no-such-dir/s.txt"], "cannot open"),
         (["graphs", "count", "--n", "3", "--output", "no-such-dir/out.json"], "cannot open"),
+        (["graphs", "count", "--n", "8"], "cap is 7"),
+        (["ising", "z", "--L", "6"], "capped at L=5"),
+        (["potentials", "eval", "--params", "a=nan"], "a must be a positive finite length"),
+        (["potentials", "integrals", "--family", "lennard_jones", "--params", "sigma=-1"],
+         "sigma must be a positive finite length"),
+        (["potentials", "stability", "--family", "square_well", "--params", "R=-1", "delta=-1"],
+         "R must be a positive finite length"),
+        (["potentials", "eval", "--family", "lj_type", "--params", "a=-1"],
+         "a must be a positive finite length"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)

@@ -74,11 +74,11 @@ class TestConnectivity:
 
     def test_one_cache_entry_per_n(self):
         G.connected_masks.cache_clear()
-        G.connected_masks(5)
-        G.connected_masks(5, 5)
-        G.connected_masks(5, cap=G.GRAPH_CAP)
-        G.count_connected(5, cap=G.GRAPH_CAP_HARD)
+        table = G.connected_masks(5)
+        assert G.connected_masks(5) is table
+        G.count_connected(5)
         G.alternating_connected_sum(5)
+        assert G.verify_partition_scheme(5, G.penrose_added(5))
         assert G.connected_masks.cache_info().misses == 1
 
 

@@ -91,12 +91,10 @@ class TestHighTemperature:
     def test_counts_cached_by_L_alone(self):
         I.even_subgraph_size_counts.cache_clear()
         first = I.even_subgraph_size_counts(4)
-        assert I.even_subgraph_size_counts(4, 6) is first
-        assert I.even_subgraph_size_counts(4, cap=I.HIGH_T_CAP) is first
+        assert I.even_subgraph_size_counts(4) is first
         I.high_T_polymer_Z(4, 0.3)
+        I.duality_check(4, 0.3)
         assert I.even_subgraph_size_counts.cache_info().misses == 1
-        with pytest.raises(ValueError, match="capped at L=3"):
-            I.even_subgraph_size_counts(4, cap=3)
 
 
 class TestLowTemperature:

@@ -47,6 +47,27 @@ class TestEvaluation:
             for r in (0.1, 0.6, 0.9, 1.4, 3.0):
                 assert P.potential_eval(back, r) == P.potential_eval(spec, r)
 
+    @pytest.mark.parametrize("make,name", [
+        (lambda: P.hard_core(a=math.nan), "a"),
+        (lambda: P.hard_core(a=INF), "a"),
+        (lambda: P.lennard_jones(sigma=-1.0), "sigma"),
+        (lambda: P.square_well(R=-1.0, delta=-1.0), "R"),
+        (lambda: P.square_well(delta=0.0), "delta"),
+        (lambda: P.ruelle(R=math.nan), "R"),
+        (lambda: P.lj_type(a=-1.0), "a"),
+        (lambda: P.lj_type(a=math.nan), "a"),
+        (lambda: P.step_table([math.nan], [1.0]), r"radii\[0\]"),
+        (lambda: P.step_table([0.5, INF], [1.0, 2.0]), r"radii\[1\]"),
+    ], ids=["hard-core-nan", "hard-core-inf", "lj-sigma", "well-R", "well-delta", "ruelle-nan",
+            "lj-type-negative", "lj-type-nan", "step-nan", "step-inf"])
+    def test_lengths_must_be_positive_and_finite(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive finite length"):
+            make()
+
+    def test_lj_type_refuses_a_nan_exponent(self):
+        with pytest.raises(ValueError, match="need eps > 0"):
+            P.lj_type(eps=math.nan)
+
 
 class TestStabilitySearch:
     def test_nonnegative_exact_zero(self):
