@@ -39,10 +39,9 @@ for i, j in G.vertex_pairs(5):
     inc[i][j] = inc[j][i] = rng.random() < 0.6
 V = U.InteractionMatrix(5, {(i, j): (U.INF if inc[i][j] else 0.0) for i, j in G.vertex_pairs(5)})
 phi = U.ursell_graph_sum(V)
-count = U.hardcore_penrose_count(inc, 5)
 families = U.tree_family_counts(inc, 5)
 print(f"  graph sum            = {phi}")
-print(f"  depth-rule tree count = {count}  (equals |graph sum|)")
+print(f"  depth-rule tree count = {families['penrose']}  (equals |graph sum|)")
 print(f"  nested families: {families['penrose']} <= {families['weak']}"
       f" <= {families['dobrushin']} <= {families['kp']}")
 

@@ -237,11 +237,9 @@ def _cmd_mayer(args) -> int:
         return 0
     if args.action == "ks":
         table = mayer.ks_recursion(args.m_max, args.beta, args.B or 0.0, args.C)
-        worst = max(
-            abs(v - mayer.ks_closed_form(n, l, args.beta, args.B or 0.0, args.C))
-            / abs(mayer.ks_closed_form(n, l, args.beta, args.B or 0.0, args.C))
-            for (n, l), v in table.items()
-        )
+        exact = {(n, l): mayer.ks_closed_form(n, l, args.beta, args.B or 0.0, args.C)
+                 for n, l in table}
+        worst = max(abs(v - exact[key]) / abs(exact[key]) for key, v in table.items())
         payload = {"command": "mayer", "action": "ks", "m_max": args.m_max, "beta": args.beta,
                    "B": args.B or 0.0, "C": args.C, "entries": len(table),
                    "worst_relative_error_vs_closed_form": worst}
@@ -254,8 +252,8 @@ def _cmd_mayer(args) -> int:
                    "ratio": rb.ratio, "log_ratio": rb.log_ratio}
         _emit(args, payload)
         return 0
-    tools = mayer.virial_tools(args.beta, args.Bbar or 0.0, args.Ctilde)
-    w, val = tools.max_point()
+    tools = mayer.VirialTools(args.beta, args.Bbar or 0.0, args.Ctilde)
+    w, val = mayer.virial_max_golden()
     payload = {"command": "mayer", "action": "virial", "beta": args.beta,
                "Bbar": args.Bbar or 0.0, "Ctilde": args.Ctilde,
                "virial_radius": tools.virial_radius, "max_w": w, "max_value": val}
@@ -419,8 +417,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
+    # step_table takes lists, which --params cannot give; --spec-file can
     p.add_argument("--family", default=None,
-                   choices=("hard_core", "square_well", "ruelle", "lj_type", "lennard_jones"))
+                   choices=tuple(f for f in potentials.FAMILIES if f != "step_table"))
     p.add_argument("--params", nargs="*", metavar="k=v")
     p.add_argument("--dimension", type=int, default=None)
     p.add_argument("--spec-file", default=None, help="excludes --family, --params and --dimension")

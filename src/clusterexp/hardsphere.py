@@ -42,8 +42,9 @@ class OverlapEstimate:
     seed: int
     exact: bool
 
-    def within(self, value: float, n_sigma: float = 3.0) -> bool:
-        slack = max(self.std_error * n_sigma, 1e-15)
+    def within(self, value: float) -> bool:
+        """Whether ``value`` lies within three standard errors of the estimate."""
+        slack = max(self.std_error * 3.0, 1e-15)
         return abs(self.estimate - value) <= slack
 
 
@@ -99,11 +100,9 @@ def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0) -> OverlapEs
     return OverlapEstimate(d, k, p, se, samples, seed, exact=False)
 
 
-def g2_table(samples: int = 1_000_000, seed: int = 0, use_reference: bool = True) -> tuple[float, ...]:
-    """The d=2 factor table for s = 0..5: exact heads, reference or Monte
-    Carlo values beyond; zero from s = 6 on."""
-    if use_reference:
-        return G2_REFERENCE
+def g2_table(samples: int = 1_000_000, seed: int = 0) -> tuple[float, ...]:
+    """The d=2 factor table for s = 0..5: exact heads, Monte Carlo values
+    beyond; zero from s = 6 on."""
     vals = [1.0, 1.0, gtilde_closed_form(2, 2)]
     for s in (3, 4, 5):
         vals.append(gtilde(2, s, samples=samples, seed=seed + s).estimate)
@@ -141,14 +140,14 @@ class ImprovedRadius:
         return self.coefficient / self.classical
 
 
-def improved_radius(gtable=None, tol: float = 1e-12) -> ImprovedRadius:
+def improved_radius(gtable=None) -> ImprovedRadius:
     """Maximise mu / C_2(mu) by golden section after a coarse grid pass."""
     gtable = G2_REFERENCE if gtable is None else tuple(gtable)
     f = lambda m: m / cd_polynomial(2, m, gtable)
     grid = np.linspace(1e-6, 10.0, 4001)
     vals = [f(m) for m in grid]
     k = int(max(range(len(vals)), key=vals.__getitem__))
-    m = _golden_max(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol)
+    m = _golden_max(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
     return ImprovedRadius(m, f(m), classical_radius_coefficient(), gtable)
 
 

@@ -30,6 +30,7 @@ from .graphs import MASK_CHUNK, CapExceededError
 
 BRUTE_CAP = 5   # the density-of-states sweep visits 2^(L^2) configurations
 HIGH_T_CAP = 6  # the even-subgraph walk visits 2^((L-1)^2) cycle-space elements
+ANIMAL_A = 0.21  # the weight e^(a|g|) of the animal counting conditions
 
 
 def _site(r: int, c: int, L: int) -> int:
@@ -56,11 +57,6 @@ def boundary_multiplicity(L: int) -> list[int]:
             k = (r == 0) + (r == L - 1) + (c == 0) + (c == L - 1)
             mult[_site(r, c, L)] = k
     return mult
-
-
-def boundary_pair_count(L: int) -> int:
-    """Bonds with at least one endpoint outside: 4L; with both inside: 2L(L-1)."""
-    return 4 * L
 
 
 def _config_chunks(L: int):
@@ -96,7 +92,7 @@ def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need L >= 1")
     if L > BRUTE_CAP:
         raise CapExceededError(f"brute force capped at L={BRUTE_CAP}")
-    n_pairs = 2 * L * (L - 1) + (boundary_pair_count(L) if boundary != "free" else 0)
+    n_pairs = 2 * L * (L - 1) + (4 * L if boundary != "free" else 0)  # internal + outside pairs
     bins = n_pairs + 1
     N = np.zeros(bins, dtype=np.int64)
     down = np.zeros((L * L, bins), dtype=np.int64)  # configurations with sigma_x = -1
@@ -112,17 +108,17 @@ def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     return N, M
 
 
-def _bin_weights(N: np.ndarray, beta: float, J: float) -> np.ndarray:
-    """e^(-beta H) per bin k: aligned minus opposite pairs, times beta J."""
-    return np.exp(beta * J * (N.size - 1 - 2 * np.arange(N.size)))
+def _bin_weights(N: np.ndarray, beta: float) -> np.ndarray:
+    """e^(-beta H) per bin k: aligned minus opposite pairs, times beta."""
+    return np.exp(beta * (N.size - 1 - 2 * np.arange(N.size)))
 
 
-def brute_force_Z(L: int, beta: float, J: float = 1.0, boundary: str = "free") -> float:
+def brute_force_Z(L: int, beta: float, boundary: str = "free") -> float:
     """Exact partition function by summation over all 2^(L^2) configurations."""
     N, _ = _density_of_states(L, boundary)
     # exactly-rounded accumulation over exact integer counts: the plus and
     # minus boundaries share N, so their sums match bit for bit
-    return math.fsum((N * _bin_weights(N, beta, J)).tolist())
+    return math.fsum((N * _bin_weights(N, beta)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +157,14 @@ def even_subgraph_size_counts(L: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def high_T_polymer_Z(L: int, beta: float, J: float = 1.0) -> tuple[float, float]:
+def high_T_polymer_Z(L: int, beta: float) -> tuple[float, float]:
     """(Xi, Z) from the even-subgraph expansion with free boundary:
-    Xi = sum over even subsets of tanh(beta J)^(edges) and
-    Z = cosh(beta J)^(2L(L-1)) 2^(L^2) Xi."""
+    Xi = sum over even subsets of tanh(beta)^(edges) and
+    Z = cosh(beta)^(2L(L-1)) 2^(L^2) Xi."""
     counts = even_subgraph_size_counts(L)
-    t = math.tanh(beta * J)
+    t = math.tanh(beta)
     xi = math.fsum(c * t**m for m, c in enumerate(counts) if c)
-    z = math.cosh(beta * J) ** (2 * L * (L - 1)) * 2.0 ** (L * L) * xi
+    z = math.cosh(beta) ** (2 * L * (L - 1)) * 2.0 ** (L * L) * xi
     return xi, z
 
 
@@ -261,7 +257,7 @@ class ContourReport:
 @lru_cache(maxsize=None)
 def _contour_energy_identity(L: int) -> tuple[bool, int | None]:
     """Tie the geometric contour extraction to the Hamiltonian, independent
-    of beta and J: per spin configuration under + boundary, the direct pair
+    of beta: per spin configuration under + boundary, the direct pair
     sum (internal bonds plus boundary pairs against the outside +1) must
     equal Btilde - 2 (total contour perimeter), Btilde = 2L(L+1).
     Exhaustive for L <= 3, 512 seeded samples beyond.  Returns whether the
@@ -289,19 +285,19 @@ def _contour_energy_identity(L: int) -> tuple[bool, int | None]:
     return identity_ok, min(sizes) if sizes else None
 
 
-def low_T_contour_Z(L: int, beta: float, J: float = 1.0) -> ContourReport:
+def low_T_contour_Z(L: int, beta: float) -> ContourReport:
     """Contour partition function under + boundary.
 
-    Sums e^(-2 beta J B-) over the opposite-pair counts B- of the + boundary
-    density of states, verifies the energy identity H = -J Btilde + 2 J B-
+    Sums e^(-2 beta B-) over the opposite-pair counts B- of the + boundary
+    density of states, verifies the energy identity H = -Btilde + 2 B-
     with Btilde = 2L(L+1) on the geometric contours of the configurations
     (all for L <= 3, sampled beyond; checked once per L); the reconstruction
-    e^(beta J Btilde) Xi equals the brute-force + boundary sum.
+    e^(beta Btilde) Xi equals the brute-force + boundary sum.
     """
     btilde = 2 * L * (L + 1)
     N, _ = _density_of_states(L, "plus")
-    xi = math.fsum((N * np.exp(-2.0 * beta * J * np.arange(N.size))).tolist())
-    z = math.exp(beta * J * btilde) * xi
+    xi = math.fsum((N * np.exp(-2.0 * beta * np.arange(N.size))).tolist())
+    z = math.exp(beta * btilde) * xi
     identity_ok, min_size = _contour_energy_identity(L)
     return ContourReport(xi, z, btilde, identity_ok, min_size)
 
@@ -324,34 +320,35 @@ class DualityReport:
     phi_beta: float
     xi_high: float
     xi_low_at_dual: float
-    identity_residual: float    # max |e^(-2 phi) - tanh beta| over probes
-    involution_residual: float  # max |phi(phi(b)) - b| over probes
+    identity_residual: float    # max |e^(-2 phi) - tanh beta| over the probe betas
+    involution_residual: float  # max |phi(phi(b)) - b| over the probe betas
     beta_c: float
     fixed_point_residual: float
 
 
-def duality_check(L: int, beta: float, J: float = 1.0,
-                  probes: tuple[float, ...] = (0.2, 0.5, 1.0)) -> DualityReport:
+def duality_check(L: int, beta: float) -> DualityReport:
     """Exchange of the two expansions on the closed even subgraphs of the box.
 
     The same animal family is summed twice: with high-temperature activity
-    tanh(beta J)^|g| and with low-temperature activity e^(-2 phi(beta J) |g|).
-    Since e^(-2 phi) = tanh identically the two sums coincide term by term.
+    tanh(beta)^|g| and with low-temperature activity e^(-2 phi(beta) |g|).
+    Since e^(-2 phi) = tanh identically the two sums coincide term by term;
+    the identity and the involution phi(phi(b)) = b are probed at b = 0.2,
+    0.5 and 1.0.
     """
-    bj = beta * J
     counts = even_subgraph_size_counts(L)
-    t = math.tanh(bj)
-    u = math.exp(-2.0 * dual_coupling(bj))
+    t = math.tanh(beta)
+    u = math.exp(-2.0 * dual_coupling(beta))
     xi_high = math.fsum(c * t**m for m, c in enumerate(counts) if c)
     xi_low = math.fsum(c * u**m for m, c in enumerate(counts) if c)
+    probes = (0.2, 0.5, 1.0)
     ident = max(abs(math.exp(-2.0 * dual_coupling(b)) - math.tanh(b)) for b in probes)
     invol = max(abs(dual_coupling(dual_coupling(b)) - b) for b in probes)
     from scipy.optimize import brentq
 
     beta_c = brentq(lambda b: dual_coupling(b) - b, 0.2, 1.0, xtol=1e-15)
     return DualityReport(
-        beta=bj,
-        phi_beta=dual_coupling(bj),
+        beta=beta,
+        phi_beta=dual_coupling(beta),
         xi_high=xi_high,
         xi_low_at_dual=xi_low,
         identity_residual=ident,
@@ -365,13 +362,13 @@ def duality_check(L: int, beta: float, J: float = 1.0,
 # Magnetization
 
 
-def peierls_g(beta: float, J: float = 1.0) -> float:
-    """Contour-probability bound g = x^4 (4 - 3x) / (1 - x)^2, x = 3 e^(-2 beta J).
+def peierls_g(beta: float) -> float:
+    """Contour-probability bound g = x^4 (4 - 3x) / (1 - x)^2, x = 3 e^(-2 beta).
 
     Valid on x < 1; the + boundary site magnetization obeys <s> >= 1 - 2g."""
-    x = 3.0 * math.exp(-2.0 * beta * J)
+    x = 3.0 * math.exp(-2.0 * beta)
     if x >= 1.0:
-        raise ValueError("bound needs 3 e^(-2 beta J) < 1")
+        raise ValueError("bound needs 3 e^(-2 beta) < 1")
     return x**4 * (4.0 - 3.0 * x) / (1.0 - x) ** 2
 
 
@@ -384,14 +381,14 @@ class MagnetizationReport:
     mean: float
     low_t_bound: float | None       # 1 - 2 g(beta) when x < 0.4795
     low_t_bound_ok: bool | None
-    high_t_site_bounds_ok: bool | None  # interior decay bound when 3 tanh(beta J) < 1
+    high_t_site_bounds_ok: bool | None  # interior decay bound when 3 tanh(beta) < 1
 
 
 def _site_boundary_distance(r: int, c: int, L: int) -> int:
     return 1 + min(r, c, L - 1 - r, L - 1 - c)
 
 
-def magnetization(L: int, beta: float, J: float = 1.0, boundary: str = "free") -> MagnetizationReport:
+def magnetization(L: int, beta: float, boundary: str = "free") -> MagnetizationReport:
     """Exact per-site expectations by enumeration, with the two rigorous
     bound checks attached.
 
@@ -402,20 +399,20 @@ def magnetization(L: int, beta: float, J: float = 1.0, boundary: str = "free") -
     """
     n = L * L
     N, M = _density_of_states(L, boundary)
-    w = _bin_weights(N, beta, J)
+    w = _bin_weights(N, beta)
     z = math.fsum((N * w).tolist())
     per_site = np.array([math.fsum((m * w).tolist()) for m in M]) / z
     mean = math.fsum(per_site.tolist()) / n
 
     low_bound = low_ok = None
-    x_beta = 3.0 * math.exp(-2.0 * beta * J)
+    x_beta = 3.0 * math.exp(-2.0 * beta)
     if boundary == "plus" and x_beta < 0.4795:
-        g = peierls_g(beta, J)
+        g = peierls_g(beta)
         low_bound = 1.0 - 2.0 * g
         low_ok = bool(mean >= low_bound - 1e-12)
 
     high_ok = None
-    t3 = 3.0 * math.tanh(beta * J)
+    t3 = 3.0 * math.tanh(beta)
     if boundary == "plus" and t3 < 1.0:
         high_ok = True
         for r in range(L):
@@ -431,12 +428,12 @@ def magnetization(L: int, beta: float, J: float = 1.0, boundary: str = "free") -
 # Animal counts and coupling thresholds
 
 
-def closed_animals_through_origin(max_edges: int = 8) -> dict[int, int]:
+def closed_animals_through_origin() -> dict[int, int]:
     """Exact counts of connected even-degree edge sets through the origin.
 
     Enumerates closed non-edge-repeating walks from the origin (every such
     edge set carries an Eulerian circuit based at any of its vertices) and
-    deduplicates by edge set.  Counts are per size in {4, 6, ..., max_edges}.
+    deduplicates by edge set.  Counts are per size in {4, 6, 8}.
     """
     steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
     found: set[frozenset] = set()
@@ -445,7 +442,7 @@ def closed_animals_through_origin(max_edges: int = 8) -> dict[int, int]:
     def rec(v, used: frozenset, depth: int):
         if v == origin and used:
             found.add(used)
-        if depth == max_edges:
+        if depth == 8:
             return
         for dx, dy in steps:
             w = (v[0] + dx, v[1] + dy)
@@ -461,12 +458,13 @@ def closed_animals_through_origin(max_edges: int = 8) -> dict[int, int]:
     return counts
 
 
-def _animal_quartic_root(a: float = 0.21) -> float:
-    """Root of e^(4a) y^4 + (e^(2a) - e^a) y - (e^a - 1) = 0 on (0, 1):
-    the largest admissible value of 3*(activity) in the high- and
-    low-temperature counting conditions."""
+def _animal_quartic_root() -> float:
+    """Root of e^(4a) y^4 + (e^(2a) - e^a) y - (e^a - 1) = 0 on (0, 1) at
+    a = ANIMAL_A: the largest admissible value of 3*(activity) in the high-
+    and low-temperature counting conditions."""
     from scipy.optimize import brentq
 
+    a = ANIMAL_A
     f = lambda y: math.exp(4 * a) * y**4 + (math.exp(2 * a) - math.exp(a)) * y - (math.exp(a) - 1.0)
     return brentq(f, 1e-9, 1.0, xtol=1e-12)
 
@@ -483,14 +481,14 @@ class ThresholdReport:
     counts: dict[int, int]
 
 
-def animal_counts_and_thresholds(a: float = 0.21) -> ThresholdReport:
+def animal_counts_and_thresholds() -> ThresholdReport:
     """Exact small-animal counts plus the four coupling thresholds, all by
     root-solving the scalar counting inequalities with C_n <= 3^n."""
-    counts = closed_animals_through_origin(8)
+    counts = closed_animals_through_origin()
     for m, c in counts.items():
         if c > 3**m:
             raise AssertionError(f"count {c} at size {m} violates the 3^m walk bound")
-    y = _animal_quartic_root(a)
+    y = _animal_quartic_root()
     beta0 = math.atanh(y / 3.0)
     beta1 = 0.5 * math.log(3.0 / y)
     beta0p = math.atanh(1.0 / 3.0)
@@ -498,4 +496,4 @@ def animal_counts_and_thresholds(a: float = 0.21) -> ThresholdReport:
 
     g_root = brentq(lambda x: x**4 * (4.0 - 3.0 * x) / (1.0 - x) ** 2 - 0.5, 1e-6, 0.9, xtol=1e-12)
     beta1p = 0.5 * math.log(3.0 / g_root)
-    return ThresholdReport(a, y, beta0, beta1, beta0p, beta1p, g_root, counts)
+    return ThresholdReport(ANIMAL_A, y, beta0, beta1, beta0p, beta1p, g_root, counts)

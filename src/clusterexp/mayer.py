@@ -214,7 +214,8 @@ def mayer_coefficients(
     if n_max > N_MAX_CAP:
         raise CapExceededError(f"n_max capped at {N_MAX_CAP}")
     if not 0 < volume.size <= VOLUME_CAP:
-        raise ValueError(f"volume must hold 1 to {VOLUME_CAP} sites")
+        refusal = CapExceededError if volume.size else ValueError
+        raise refusal(f"volume must hold 1 to {VOLUME_CAP} sites")
     if potential_eval(spec, 0.0) != INF:
         raise ValueError("spec must carry an on-site hard core: V(0) = +inf")
     if B is None and is_nonnegative(spec):
@@ -326,17 +327,18 @@ def ks_recursion(M_max: int, beta: float, B: float, C: float) -> dict[tuple[int,
 # Virial toolbox
 
 
-def solve_w(x: float, tol: float = 1e-12, max_iter: int = 50) -> float:
+def solve_w(x: float) -> float:
     """First solution in [0, 1] of w e^(-w) = x, for 0 <= x <= 1/e.
 
-    Newton from w = x (below the root on this branch) with bisection fallback.
+    Newton from w = x (below the root on this branch, at most 50 steps, until
+    a step moves w by less than 1e-12) with bisection fallback.
     """
     if x < 0 or x > 1.0 / math.e + 1e-15:
         raise ValueError("out of branch: need 0 <= x <= 1/e")
     if x == 0:
         return 0.0
     w = x
-    for _ in range(max_iter):
+    for _ in range(50):
         f = w * math.exp(-w) - x
         df = math.exp(-w) * (1.0 - w)
         if df <= 0:
@@ -344,7 +346,7 @@ def solve_w(x: float, tol: float = 1e-12, max_iter: int = 50) -> float:
         w_new = w - f / df
         if not 0.0 <= w_new <= 1.0:
             break
-        if abs(w_new - w) < tol:
+        if abs(w_new - w) < 1e-12:
             return w_new
         w = w_new
     # bisection fallback on [0, 1]
@@ -355,7 +357,7 @@ def solve_w(x: float, tol: float = 1e-12, max_iter: int = 50) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
     return 0.5 * (lo + hi)
 
@@ -375,14 +377,14 @@ def virial_objective(w: float) -> float:
     return w * (2.0 * math.exp(-w) - 1.0)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
+def _golden_max(f, a: float, b: float) -> float:
     """Midpoint of the golden-section search for the maximum of f on a bracket
-    [a, b], stopped once b - a <= tol * max(1, a)."""
+    [a, b], stopped once b - a <= 1e-12 * max(1, a)."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, a):
+    while b - a > 1e-12 * max(1.0, a):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -394,21 +396,21 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def virial_max_golden(tol: float = 1e-12) -> tuple[float, float]:
+def virial_max_golden() -> tuple[float, float]:
     """Maximise w(2 e^(-w) - 1) on (0, ln 2): dense grid then golden section."""
     lo, hi = 1e-12, math.log(2.0) - 1e-12
     grid = np.linspace(lo, hi, 20001)
     vals = grid * (2.0 * np.exp(-grid) - 1.0)
     k = int(vals.argmax())
-    w = _golden_max(virial_objective, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol)
+    w = _golden_max(virial_objective, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
     return w, virial_objective(w)
 
 
-def virial_max_newton(tol: float = 1e-14) -> tuple[float, float]:
+def virial_max_newton() -> tuple[float, float]:
     """Same maximum through the stationarity condition 2 e^(-w) (1 - w) = 1."""
     from scipy.optimize import brentq
 
-    w = brentq(lambda w: 2.0 * math.exp(-w) * (1.0 - w) - 1.0, 1e-9, math.log(2.0), xtol=tol)
+    w = brentq(lambda w: 2.0 * math.exp(-w) * (1.0 - w) - 1.0, 1e-9, math.log(2.0), xtol=1e-14)
     return w, virial_objective(w)
 
 
@@ -430,14 +432,3 @@ class VirialTools:
         if self.Ctilde <= 0:
             raise ValueError("need Ctilde > 0")
         return VIRIAL_NUMERATOR / (self.Ctilde * math.exp(self.beta * self.Bbar))
-
-    def euler_check(self, x: float, n_terms: int = 80) -> tuple[float, list[float]]:
-        """(w, partial sums) demonstrating the tree series converges to w."""
-        return solve_w(x), euler_partial_sums(x, n_terms)
-
-    def max_point(self) -> tuple[float, float]:
-        return virial_max_golden()
-
-
-def virial_tools(beta: float, Bbar: float, Ctilde: float) -> VirialTools:
-    return VirialTools(beta=beta, Bbar=Bbar, Ctilde=Ctilde)

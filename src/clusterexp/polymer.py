@@ -10,8 +10,8 @@ for convergence -- exponential (Kotecky-Preiss), product (Dobrushin) and
 neighborhood-partition-function (Fernandez-Procacci) -- each with its
 optimised constant on regular models.
 
-The incompatibility relation is reflexive by default: a polymer excludes a
-second copy of itself.  Every worked model here is of that kind.
+Every polymer is incompatible with itself: it excludes a second copy of
+itself, so it belongs to its own neighborhood.
 """
 
 from __future__ import annotations
@@ -42,11 +42,9 @@ class PolymerSystem:
     """Finite polymer set with incompatibility relation and activities."""
 
     def __init__(self, activities: Mapping[Polymer, complex],
-                 incompatible_pairs: Iterable[tuple[Polymer, Polymer]],
-                 reflexive: bool = True):
+                 incompatible_pairs: Iterable[tuple[Polymer, Polymer]]):
         self.polymers = tuple(activities.keys())
         self.activity = dict(activities)
-        self.reflexive = reflexive
         index = {g: k for k, g in enumerate(self.polymers)}
         nbrs: dict[Polymer, set] = {g: set() for g in self.polymers}
         for a, b in incompatible_pairs:
@@ -54,9 +52,8 @@ class PolymerSystem:
                 raise ValueError(f"incompatible pair ({a!r}, {b!r}) uses unknown polymers")
             nbrs[a].add(b)
             nbrs[b].add(a)
-        if reflexive:
-            for g in self.polymers:
-                nbrs[g].add(g)
+        for g in self.polymers:
+            nbrs[g].add(g)
         self._nbrs = {g: frozenset(s) for g, s in nbrs.items()}
         self._index = index
         self._nbr_masks = [sum(1 << index[h] for h in nbrs[g]) for g in self.polymers]
@@ -65,14 +62,14 @@ class PolymerSystem:
         return b in self._nbrs[a]
 
     def neighborhood(self, g: Polymer) -> frozenset:
-        """All polymers incompatible with g (g itself included when reflexive)."""
+        """All polymers incompatible with g, g itself included."""
         return self._nbrs[g]
 
     def __len__(self):
         return len(self.polymers)
 
 
-def system_from_adjacency_text(text: str, reflexive: bool = True) -> PolymerSystem:
+def system_from_adjacency_text(text: str) -> PolymerSystem:
     """Parse lines of the form "id ; neighbor neighbor ... ; activity"."""
     activities: dict[str, complex] = {}
     pairs: list[tuple[str, str]] = []
@@ -90,7 +87,7 @@ def system_from_adjacency_text(text: str, reflexive: bool = True) -> PolymerSyst
             if other not in activities:
                 raise ValueError(f"neighbor {other!r} of {ident!r} was never declared")
             pairs.append((ident, other))
-    return PolymerSystem(activities, pairs, reflexive=reflexive)
+    return PolymerSystem(activities, pairs)
 
 
 def _region_mask(sys: PolymerSystem, region: Iterable[Polymer] | None) -> int:
@@ -105,8 +102,6 @@ def _independence(sys: PolymerSystem, regions: Sequence[int], z: Sequence, one) 
     deletion recursion Xi(R) = Xi(R - g) + z_g Xi(R - N[g]), g the lowest
     polymer of R, with Xi(empty) = ``one``.  The values need only ``+`` and
     ``z_g * value``; one memo serves all the regions."""
-    if not sys.reflexive:
-        raise ValueError("exact partition functions need the reflexive hard core")
     if any(r.bit_count() > VOLUME_CAP for r in regions):
         raise CapExceededError(f"region capped at {VOLUME_CAP} polymers")
     nbr = sys._nbr_masks
@@ -344,14 +339,14 @@ class FixedPointResult:
 
 
 def fixed_point_iterate(sys: PolymerSystem, rho: Mapping[Polymer, float] | float,
-                        k: int, mu: Mapping[Polymer, float] | None = None,
-                        tol: float = 1e-12, blowup: float = 1e12) -> FixedPointResult:
-    """Iterate u <- rho * Xi_neighborhood(u) from u = rho, k times.
+                        k: int, mu: Mapping[Polymer, float] | None = None) -> FixedPointResult:
+    """Iterate u <- rho * Xi_neighborhood(u) from u = rho, at most k times.
 
     Coordinates are monotone nondecreasing.  When the activities sit below a
     certified radius the iteration converges to the pinned-series fixed
-    point; otherwise coordinates grow past any bound (and past mu, when
-    given), which is reported as a criterion violation.
+    point (a step moving no coordinate by 1e-12 stops it); otherwise
+    coordinates grow past 1e12 (or past mu, when given), which is reported
+    as a criterion violation.
     """
     rho_map = dict(rho) if isinstance(rho, Mapping) else {g: rho for g in sys.polymers}
     u = dict(rho_map)
@@ -370,10 +365,10 @@ def fixed_point_iterate(sys: PolymerSystem, rho: Mapping[Polymer, float] | float
         if mu is not None and any(u[g] > mu[g] + 1e-15 for g in sys.polymers):
             exceeded = True
             break
-        if max(u.values()) > blowup:
+        if max(u.values()) > 1e12:
             diverged = True
             break
-        if delta < tol:
+        if delta < 1e-12:
             converged = True
             break
     return FixedPointResult(u, it, converged, diverged, exceeded)
@@ -444,22 +439,15 @@ def _fp_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float]) -> t
     try:
         return mu[g] / abs(partition_function(sys, nbh, activities=mu)), True
     except CapExceededError:
-        return mu[g] / _fp_fallback_bound(g, nbh, mu), False
-
-
-def _fp_fallback_bound(g: Polymer, nbh: frozenset, mu) -> float:
-    """Upper bound on the neighborhood partition function for oversized
-    neighborhoods: the binomial bound when polymers are vertex subsets,
-    the product bound otherwise."""
-    if isinstance(g, frozenset):
-        per_vertex = 0.0
-        for x in g:
-            per_vertex = max(per_vertex, sum(mu[h] for h in nbh if isinstance(h, frozenset) and x in h))
-        return (1.0 + per_vertex) ** len(g)
-    prod = 1.0
-    for h in nbh:
-        prod *= 1.0 + mu[h]
-    return prod
+        pass
+    # oversized neighborhood: bound its partition function from above, by the
+    # binomial bound when polymers are vertex subsets, the product bound otherwise
+    if not isinstance(g, frozenset):
+        return criterion_radius(sys, g, mu, "dob"), False
+    per_vertex = 0.0
+    for x in g:
+        per_vertex = max(per_vertex, sum(mu[h] for h in nbh if isinstance(h, frozenset) and x in h))
+    return mu[g] / (1.0 + per_vertex) ** len(g), False
 
 
 def constant_mu_radius(sys: PolymerSystem, polymer: Polymer, which: str, mu: float) -> float:
@@ -468,17 +456,17 @@ def constant_mu_radius(sys: PolymerSystem, polymer: Polymer, which: str, mu: flo
     return criterion_radius(sys, polymer, inp.mu, which)
 
 
-def optimize_constant_mu(sys: PolymerSystem, polymer: Polymer, which: str,
-                         lo: float = 1e-6, hi: float = 30.0, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximisation of the chosen radius over a constant mu."""
+def optimize_constant_mu(sys: PolymerSystem, polymer: Polymer, which: str) -> tuple[float, float]:
+    """Golden-section maximisation of the chosen radius over a constant mu
+    in [1e-6, 30]."""
     f = lambda m: constant_mu_radius(sys, polymer, which, m)
     # bracket the maximum on a log grid first
     import numpy as np
 
-    grid = np.geomspace(lo, hi, 220)
+    grid = np.geomspace(1e-6, 30.0, 220)
     vals = [f(m) for m in grid]
     k = int(max(range(len(vals)), key=vals.__getitem__))
-    m = _golden_max(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol)
+    m = _golden_max(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
     return m, f(m)
 
 
@@ -573,9 +561,9 @@ def subset_gas_system(vertices: Sequence[Hashable],
 
 
 def random_subset_gas(vertices: Sequence[Hashable], n_polymers: int, max_size: int,
-                      rng, a: float = math.log(2.0), margin: float = 0.9) -> PolymerSystem:
+                      rng, a: float = math.log(2.0)) -> PolymerSystem:
     """Random subset system scaled so sup_x sum_{g: x in g} rho(g) e^(a|g|)
-    equals ``margin`` times e^a - 1."""
+    equals 0.9 times e^a - 1."""
     vertices = list(vertices)
     distinct = sum(math.comb(len(vertices), s) for s in range(1, max_size + 1))
     if not 1 <= n_polymers <= distinct:  # the sampling below draws distinct subsets
@@ -590,7 +578,7 @@ def random_subset_gas(vertices: Sequence[Hashable], n_polymers: int, max_size: i
         sum(w * math.exp(a * len(g)) for g, w in polymers.items() if x in g)
         for x in vertices
     )
-    scale = margin * (math.exp(a) - 1.0) / sup
+    scale = 0.9 * (math.exp(a) - 1.0) / sup
     return subset_gas_system(vertices, {g: w * scale for g, w in polymers.items()})
 
 
@@ -626,11 +614,11 @@ class SubsetGasReport:
         return bool(self.condition.satisfied) and self.verified
 
 
-def subset_gas_check(sys: PolymerSystem, a: float = math.log(2.0),
-                     tol: float = 1e-9) -> SubsetGasReport:
+def subset_gas_check(sys: PolymerSystem, a: float = math.log(2.0)) -> SubsetGasReport:
     """Check sup_x sum_{g: x in g} rho(g) e^(a|g|) <= e^a - 1 and, when it
     holds, verify on every sub-volume L and pinned vertex x that
-    -log Xi_L(-rho) + log Xi_(L-x)(-rho) <= a with Xi_L(-rho) > 0 throughout.
+    -log Xi_L(-rho) + log Xi_(L-x)(-rho) <= a (to 1e-9) with Xi_L(-rho) > 0
+    throughout.
     """
     polymers = list(sys.polymers)
     vertices = sorted({x for g in polymers for x in g}, key=repr)
@@ -692,7 +680,7 @@ def subset_gas_check(sys: PolymerSystem, a: float = math.log(2.0),
             low = m & -m
             pinned = math.log(xi_neg(mask & ~low)) - math.log(val)
             worst = max(worst, pinned)
-            if pinned > a + tol:
+            if pinned > a + 1e-9:
                 return SubsetGasReport(condition, False, mask, worst, None)
             m ^= low
     return SubsetGasReport(condition, True, full, worst, None)

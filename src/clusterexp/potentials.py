@@ -96,6 +96,13 @@ def _check_lengths(**lengths: float) -> None:
             raise ValueError(f"{name} must be a positive finite length, got {value!r}")
 
 
+def _check_energies(**energies: float) -> None:
+    """Refuse, by name, each energy that is NaN; +inf is a hard core."""
+    for name, value in energies.items():
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def hard_core(a: float = 1.0, dimension: int = 3) -> PairPotentialSpec:
     """V = +inf for r <= a, 0 beyond."""
     _check_lengths(a=a)
@@ -106,6 +113,7 @@ def square_well(A: float = 2.0, R: float = 1.0, delta: float = 0.25,
                 dimension: int = 3) -> PairPotentialSpec:
     """V = A on [0, R], -1 on (R, R+delta], 0 beyond."""
     _check_lengths(R=R, delta=delta)
+    _check_energies(A=A)
     return PairPotentialSpec("square_well", (("A", A), ("R", R), ("delta", delta)), dimension)
 
 
@@ -131,12 +139,14 @@ def lj_type(c1: float = 1.0, c2: float = 1.0, eps: float = 1.0, a: float = 1.0,
     if not eps > 0:
         raise ValueError("need eps > 0 for an integrable tail")
     _check_lengths(a=a)
+    _check_energies(c1=c1, c2=c2)
     return PairPotentialSpec("lj_type", (("a", a), ("c1", c1), ("c2", c2), ("eps", eps)), dimension)
 
 
 def lennard_jones(epsilon: float = 1.0, sigma: float = 1.0, dimension: int = 3) -> PairPotentialSpec:
     """Classical 12-6 potential eps*((sigma/r)^12 - 2 (sigma/r)^6), minimum -eps at sigma."""
     _check_lengths(sigma=sigma)
+    _check_energies(epsilon=epsilon)
     return PairPotentialSpec("lennard_jones", (("epsilon", epsilon), ("sigma", sigma)), dimension)
 
 
@@ -148,6 +158,7 @@ def step_table(radii: Sequence[float], values: Sequence[float], dimension: int =
     if len(radii) != len(values) or not radii:
         raise ValueError("radii and values must be equal-length and nonempty")
     _check_lengths(**{f"radii[{k}]": r for k, r in enumerate(radii)})
+    _check_energies(**{f"values[{k}]": v for k, v in enumerate(values)})
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     return PairPotentialSpec("step_table", (("radii", radii), ("values", values)), dimension)

@@ -277,8 +277,9 @@ def _tree_sum(V: InteractionMatrix, added: Callable[[slice], np.ndarray]):
     return math.fsum(chain.from_iterable(terms(rows) for rows in t.chunks()))
 
 
-def check_stability_vector(V: InteractionMatrix, B: Sequence[float], tol: float = 1e-12) -> None:
-    """Brute-force subset check of sum of V_ij over pairs in S >= -sum B_i in S."""
+def check_stability_vector(V: InteractionMatrix, B: Sequence[float]) -> None:
+    """Brute-force subset check of sum of V_ij over pairs in S >= -sum B_i in S,
+    to 1e-12."""
     n = V.n
     if len(B) != n:
         raise ValueError(f"need {n} per-vertex constants, got {len(B)}")
@@ -291,7 +292,7 @@ def check_stability_vector(V: InteractionMatrix, B: Sequence[float], tol: float 
         if u == INF:
             continue
         bound = -sum(B[v] for v in mask_bits(mask))
-        if u < bound - tol:
+        if u < bound - 1e-12:
             raise StabilityCertificateError(
                 f"subset {sorted(mask_bits(mask))} has energy {u} < {bound}"
             )
@@ -319,7 +320,7 @@ def tree_family_counts(incompatible, n_vertices: int, root: int = 0) -> dict[str
     """Count the nested tree families of a hard-core system on {0..n_vertices-1}.
 
     ``incompatible`` is a symmetric boolean matrix or callable over vertex
-    indices (reflexive entries allowed).  All trees are rooted at ``root``
+    indices (diagonal entries allowed).  All trees are rooted at ``root``
     (internally relabelled to 0).  Families, from smallest to largest:
 
     - "penrose": tree edges incompatible; same-generation pairs compatible;
@@ -350,16 +351,6 @@ def tree_family_counts(incompatible, n_vertices: int, root: int = 0) -> dict[str
         pen += int(np.count_nonzero(ok & ~(penrose[rows] & inc).any(axis=1)))
     # distinct vertices are distinct polymers, so dobrushin equals kp
     return {"penrose": pen, "weak": weak, "dobrushin": kp, "kp": kp}
-
-
-def hardcore_penrose_count(incompatible, n_vertices: int, root: int = 0) -> int:
-    """Number of depth-rule trees certifying |Phi| for a pure hard-core system.
-
-    Counts trees rooted at ``root`` whose edges join incompatible pairs and
-    whose closure-added pairs are compatible; equals |Phi(V)| for the matrix
-    with V_ij = +inf on incompatible pairs and 0 elsewhere.
-    """
-    return tree_family_counts(incompatible, n_vertices, root)["penrose"]
 
 
 def penrose_exponent_minimum(V: InteractionMatrix) -> float:

@@ -73,10 +73,11 @@ def _identity_trial(args: tuple[int, int, int, int, int]) -> tuple:
 
 
 def identity_suite(max_n: int = 5, trials: int = 40, seed: int = 0,
-                   rel_tol: float = 1e-10, jobs: int = 1) -> list[CheckResult]:
-    """Agreement of the three Ursell routes on random matrices, exact in the
-    hard-core case, plus the tree-bound dominance property.  ``jobs`` > 1
-    spreads the trials over worker processes with identical results."""
+                   jobs: int = 1) -> list[CheckResult]:
+    """Agreement of the three Ursell routes on random matrices to 1e-10
+    relative, exact in the hard-core case, plus the tree-bound dominance
+    property.  ``jobs`` > 1 spreads the trials over worker processes with
+    identical results."""
     bound_trials = max(trials // 4, 5)
     span = max(trials, bound_trials)
     tasks = [(n, seed, t, trials, bound_trials) for n in range(2, max_n + 1) for t in range(span)]
@@ -92,7 +93,7 @@ def identity_suite(max_n: int = 5, trials: int = 40, seed: int = 0,
                                   for column in zip(*outcomes[(n - 2) * span:(n - 1) * span]))
         worst = max(spreads, default=0.0)
         results.append(CheckResult(
-            f"ursell-identities-n{n}", worst <= rel_tol,
+            f"ursell-identities-n{n}", worst <= 1e-10,
             f"worst relative spread {worst:.3e} over {len(spreads)} random matrices",
         ))
         results.append(CheckResult(
@@ -106,8 +107,9 @@ def identity_suite(max_n: int = 5, trials: int = 40, seed: int = 0,
     return results
 
 
-def combinatorics_suite(max_n: int = 5, seed: int = 0, scheme_trials: int = 5) -> list[CheckResult]:
-    """Tree counts, the alternating connected sum, and both partition schemes."""
+def combinatorics_suite(max_n: int = 5, seed: int = 0) -> list[CheckResult]:
+    """Tree counts, the alternating connected sum, and both partition schemes
+    (the Kruskal one under five random weightings per n)."""
     rng = random.Random(seed)
     results = []
     for n in range(2, max_n + 1):
@@ -125,11 +127,11 @@ def combinatorics_suite(max_n: int = 5, seed: int = 0, scheme_trials: int = 5) -
         rep = G.verify_partition_scheme(n, G.penrose_added(n))
         results.append(CheckResult(f"penrose-scheme-n{n}", bool(rep), rep.reason))
         ok = True
-        for _ in range(scheme_trials):
+        for _ in range(5):
             w = {p: rng.random() for p in G.vertex_pairs(n)}
             if not G.verify_partition_scheme(n, G.kruskal_added(G.EdgeOrder.from_weights(n, w))):
                 ok = False
-        results.append(CheckResult(f"kruskal-scheme-n{n}", ok, f"{scheme_trials} random weightings"))
+        results.append(CheckResult(f"kruskal-scheme-n{n}", ok, "5 random weightings"))
     return results
 
 

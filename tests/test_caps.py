@@ -53,6 +53,9 @@ REFUSALS = [
                                   M.N_MAX_CAP + 1),
      "n_max capped at 16"),
     ("mayer-ks", lambda: M.ks_recursion(M.KS_CAP + 1, 1.0, 0.0, 0.5), "M_max capped at 40"),
+    ("mayer-volume",
+     lambda: M.mayer_coefficients(M.DiscreteVolume.grid(9, 9), P.hard_core(1.0), 1.0, 2),
+     "1 to 64 sites"),
 ]
 
 

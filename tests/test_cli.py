@@ -276,6 +276,8 @@ class TestHarness:
          "R must be a positive finite length"),
         (["potentials", "eval", "--family", "lj_type", "--params", "a=-1"],
          "a must be a positive finite length"),
+        (["potentials", "eval", "--family", "square_well", "--params", "A=nan"],
+         "A must be a number"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)

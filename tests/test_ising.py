@@ -130,8 +130,8 @@ class TestLowTemperature:
             contours = I.spins_to_contours(spins.ravel(), L)
             ok &= pair_sum == 2 * L * (L + 1) - 2 * sum(len(g) for g in contours)
             sizes.extend(len(g) for g in contours)
-        for bj, J in ((0.3, 1.0), (1.2, 0.5), (0.7, 2.0)):
-            rep = I.low_T_contour_Z(L, bj, J)
+        for bj in (0.3, 0.6, 1.4):
+            rep = I.low_T_contour_Z(L, bj)
             assert (rep.energy_identity_ok, rep.min_contour_size) == (ok, min(sizes))
         assert ok and min(sizes) == 4
 
@@ -217,7 +217,7 @@ class TestMagnetization:
 
 class TestAnimalsAndThresholds:
     def test_counts_small_sizes(self):
-        counts = I.closed_animals_through_origin(8)
+        counts = I.closed_animals_through_origin()
         assert counts[4] == 4
         assert counts[6] == 12
         assert counts[8] == 70
@@ -263,7 +263,7 @@ class TestAnimalsAndThresholds:
         assert len(found) == 70
 
     def test_counts_below_walk_bound(self):
-        for m, c in I.closed_animals_through_origin(8).items():
+        for m, c in I.closed_animals_through_origin().items():
             assert c <= 3**m
 
     def test_threshold_values(self):

@@ -332,7 +332,7 @@ class TestVirialTools:
         assert round(vg, 5) == 0.14477
 
     def test_radius_formula(self):
-        tools = M.virial_tools(1.0, 0.5, 0.3)
+        tools = M.VirialTools(1.0, 0.5, 0.3)
         assert tools.virial_radius == pytest.approx(0.14477 / (0.3 * math.exp(0.5)), rel=1e-14)
         assert tools.w_from_activity(0.1) == pytest.approx(
             M.solve_w(0.3 * math.exp(0.5) * 0.1), abs=1e-14

@@ -253,13 +253,6 @@ class TestDeletionRecursion:
         assert PL.partition_function(s) == pytest.approx(1.01 ** n, rel=1e-12)
         assert PL.pinned_series(s, 0, 3, 0.01).partials == pytest.approx([1.0, 1.01, 1.0101, 1.010101])
 
-    def test_refuses_non_reflexive(self):
-        s = PL.PolymerSystem({"a": 0.5, "b": 0.25}, [("a", "b")], reflexive=False)
-        for call in (lambda: PL.partition_function(s), lambda: PL.xi_polynomial(s),
-                     lambda: PL.pinned_series(s, "a", 2, 0.1)):
-            with pytest.raises(ValueError, match="reflexive hard core"):
-                call()
-
     def test_refuses_volume_cap(self):
         s = PL.PolymerSystem({k: 0.01 for k in range(PL.VOLUME_CAP + 1)}, [])
         for call in (lambda: PL.partition_function(s), lambda: PL.pinned_series(s, 0, 2, 0.01)):

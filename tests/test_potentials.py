@@ -64,6 +64,22 @@ class TestEvaluation:
         with pytest.raises(ValueError, match=f"^{name} must be a positive finite length"):
             make()
 
+    @pytest.mark.parametrize("make,name", [
+        (lambda: P.square_well(A=math.nan), "A"),
+        (lambda: P.lennard_jones(epsilon=math.nan), "epsilon"),
+        (lambda: P.lj_type(c1=math.nan), "c1"),
+        (lambda: P.lj_type(c2=math.nan), "c2"),
+        (lambda: P.step_table([0.5, 1.0], [1.0, math.nan]), r"values\[1\]"),
+    ], ids=["well-A", "lj-epsilon", "lj-type-c1", "lj-type-c2", "step-value"])
+    def test_energies_must_not_be_nan(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got nan"):
+            make()
+
+    def test_an_infinite_energy_is_a_hard_core(self):
+        spec = P.step_table([0.5, 1.0], [INF, -0.3])
+        assert P.potential_eval(spec, 0.4) == INF
+        assert P.potential_eval(P.square_well(A=INF), 0.5) == INF
+
     def test_lj_type_refuses_a_nan_exponent(self):
         with pytest.raises(ValueError, match="need eps > 0"):
             P.lj_type(eps=math.nan)

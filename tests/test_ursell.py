@@ -10,7 +10,6 @@ from clusterexp.ursell import (
     INF,
     InteractionMatrix,
     StabilityCertificateError,
-    hardcore_penrose_count,
     penrose_exponent_minimum,
     tree_family_counts,
     tree_graph_bound,
@@ -149,11 +148,11 @@ class TestTreeBound:
 class TestPenroseTreeCount:
     def test_single_incompatible_pair(self):
         inc = [[True, True], [True, True]]
-        assert hardcore_penrose_count(inc, 2) == 1
+        assert tree_family_counts(inc, 2)["penrose"] == 1
 
     def test_complete_incompatibility_three(self):
         inc = [[True] * 3 for _ in range(3)]
-        assert hardcore_penrose_count(inc, 3) == 2
+        assert tree_family_counts(inc, 3)["penrose"] == 2
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_graph_sum_magnitude(self, n):
@@ -167,7 +166,7 @@ class TestPenroseTreeCount:
             V = InteractionMatrix(
                 n, {(i, j): (INF if inc[i][j] else 0.0) for i, j in G.vertex_pairs(n)}
             )
-            assert hardcore_penrose_count(inc, n) == abs(ursell_graph_sum(V))
+            assert tree_family_counts(inc, n)["penrose"] == abs(ursell_graph_sum(V))
 
     def test_root_relabelling_keeps_magnitude(self):
         rng = random.Random(9)
@@ -175,7 +174,7 @@ class TestPenroseTreeCount:
         inc = [[False] * n for _ in range(n)]
         for i, j in G.vertex_pairs(n):
             inc[i][j] = inc[j][i] = rng.random() < 0.6
-        counts = {root: hardcore_penrose_count(inc, n, root=root) for root in range(n)}
+        counts = {root: tree_family_counts(inc, n, root=root)["penrose"] for root in range(n)}
         assert len(set(counts.values())) == 1
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -268,8 +267,6 @@ class TestTreeTableRoutes:
         inc = [[True] * n for _ in range(n)]
         with pytest.raises(ValueError, match="not a vertex"):
             tree_family_counts(inc, n, root=root)
-        with pytest.raises(ValueError, match="not a vertex"):
-            hardcore_penrose_count(inc, n, root=root)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_family_counts_equal_scalar_counts(self, n):
