@@ -31,7 +31,7 @@ print(f"  reference table: {tuple(round(g, 6) for g in H.G2_REFERENCE)}")
 r = H.improved_radius()
 mu0 = H.reference_mu_trial()
 print(f"  closed-form trial mu = sqrt(8 pi/(3 sqrt 3)) = {mu0:.6f}"
-      f" gives {mu0 / H.cd_polynomial(2, mu0, H.G2_REFERENCE):.6f}")
+      f" gives {mu0 / H.cd_polynomial(mu0, H.G2_REFERENCE):.6f}")
 print(f"  optimised:   mu* = {r.mu_star:.6f} gives {r.coefficient:.6f}")
 print(f"  classical:   1/e = {r.classical:.6f}")
 print(f"  gain: {r.gain:.3f}x")

@@ -46,7 +46,7 @@ print("=" * 72)
 print("4. Radii: the tree-graph route beats the double-stability route")
 print("=" * 72)
 ri = P.regularity_integrals(P.lennard_jones(), beta=1.0)
-rb = M.radius_bounds(1.0, 8.61, None, ri.c, ri.c_tilde)
+rb = M.radius_bounds(1.0, 8.61, ri.c, ri.c_tilde)
 print(f"  12-6 potential at beta=1, B=8.61: R_PR = {rb.r_pr:.3e}, R* = {rb.r_star:.3e}")
 print(f"  improvement ratio e^(beta B) C/C~ = {rb.ratio:.4g}")
 

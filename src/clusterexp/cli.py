@@ -246,7 +246,7 @@ def _cmd_mayer(args) -> int:
         _emit(args, payload)
         return 0
     if args.action == "radii":
-        rb = mayer.radius_bounds(args.beta, args.B or 0.0, args.Bbar, args.C, args.Ctilde)
+        rb = mayer.radius_bounds(args.beta, args.B or 0.0, args.C, args.Ctilde)
         payload = {"command": "mayer", "action": "radii", "beta": args.beta, "B": args.B or 0.0,
                    "C": args.C, "Ctilde": args.Ctilde, "r_pr": rb.r_pr, "r_star": rb.r_star,
                    "ratio": rb.ratio, "log_ratio": rb.log_ratio}

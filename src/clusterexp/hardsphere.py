@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mayer import _golden_max
+from .mayer import grid_max
 from .potentials import sphere_volume
 
 MC_BATCH = 1 << 17  # samples drawn per step; the stream, hence the estimate, depends on it
-G2_TABLE_CUTOFF = 6  # g(2, s) = 0 for s >= 6: six pairwise-far points do not fit
 
 #: Reference values of g(2, s) used by the d=2 radius bound; s = 5 is an
 #: upper estimate (the true value is below 1e-4).
@@ -109,9 +108,10 @@ def g2_table(samples: int = 1_000_000, seed: int = 0) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def cd_polynomial(d: int, mu: float, gtable) -> float:
-    """C_d(mu) = sum over s of g(d, s) mu^s / s!, a polynomial since the
-    table vanishes beyond the packing cutoff."""
+def cd_polynomial(mu: float, gtable) -> float:
+    """C_d(mu) = sum over s of g(d, s) mu^s / s! for the table g(d, .) of one
+    dimension d, a polynomial since the table vanishes beyond the packing
+    cutoff."""
     if mu < 0:
         raise ValueError("need mu >= 0")
     total = 0.0
@@ -143,12 +143,8 @@ class ImprovedRadius:
 def improved_radius(gtable=None) -> ImprovedRadius:
     """Maximise mu / C_2(mu) by golden section after a coarse grid pass."""
     gtable = G2_REFERENCE if gtable is None else tuple(gtable)
-    f = lambda m: m / cd_polynomial(2, m, gtable)
-    grid = np.linspace(1e-6, 10.0, 4001)
-    vals = [f(m) for m in grid]
-    k = int(max(range(len(vals)), key=vals.__getitem__))
-    m = _golden_max(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-    return ImprovedRadius(m, f(m), classical_radius_coefficient(), gtable)
+    m, value = grid_max(lambda m: m / cd_polynomial(m, gtable), np.linspace(1e-6, 10.0, 4001))
+    return ImprovedRadius(m, value, classical_radius_coefficient(), gtable)
 
 
 def reference_mu_trial() -> float:

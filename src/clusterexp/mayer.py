@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -281,7 +282,7 @@ class RadiusBounds:
     log_ratio: float
 
 
-def radius_bounds(beta: float, B: float, Bbar: float | None, C: float, Ctilde: float) -> RadiusBounds:
+def radius_bounds(beta: float, B: float, C: float, Ctilde: float) -> RadiusBounds:
     """Classical and tree-graph convergence radii with their improvement ratio."""
     if C <= 0 or Ctilde <= 0:
         raise ValueError("need C, Ctilde > 0")
@@ -377,9 +378,13 @@ def virial_objective(w: float) -> float:
     return w * (2.0 * math.exp(-w) - 1.0)
 
 
-def _golden_max(f, a: float, b: float) -> float:
-    """Midpoint of the golden-section search for the maximum of f on a bracket
-    [a, b], stopped once b - a <= 1e-12 * max(1, a)."""
+def grid_max(f: Callable[[float], float], grid: Sequence[float]) -> tuple[float, float]:
+    """(x, f(x)) at the maximum of f: the best point of ``grid`` (the first on
+    ties) and its two neighbours bracket it, and golden-section search shrinks
+    the bracket [a, b] until b - a <= 1e-12 * max(1, a); x is its midpoint."""
+    vals = [f(x) for x in grid]
+    k = max(range(len(vals)), key=vals.__getitem__)
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
@@ -393,17 +398,13 @@ def _golden_max(f, a: float, b: float) -> float:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = f(d)
-    return 0.5 * (a + b)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 def virial_max_golden() -> tuple[float, float]:
     """Maximise w(2 e^(-w) - 1) on (0, ln 2): dense grid then golden section."""
-    lo, hi = 1e-12, math.log(2.0) - 1e-12
-    grid = np.linspace(lo, hi, 20001)
-    vals = grid * (2.0 * np.exp(-grid) - 1.0)
-    k = int(vals.argmax())
-    w = _golden_max(virial_objective, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-    return w, virial_objective(w)
+    return grid_max(virial_objective, np.linspace(1e-12, math.log(2.0) - 1e-12, 20001))
 
 
 def virial_max_newton() -> tuple[float, float]:

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import CapExceededError
-from .mayer import _golden_max
+from .mayer import grid_max
 from .potentials import call_checked
 from .ursell import INF, InteractionMatrix, ursell_graph_sum
 
@@ -55,6 +55,8 @@ class PolymerSystem:
         for g in self.polymers:
             nbrs[g].add(g)
         self._nbrs = {g: frozenset(s) for g, s in nbrs.items()}
+        # in ``polymers`` order, so that float sums over a neighborhood do not follow the hash seed
+        self._nbr_order = {g: tuple(sorted(s, key=index.__getitem__)) for g, s in nbrs.items()}
         self._index = index
         self._nbr_masks = [sum(1 << index[h] for h in nbrs[g]) for g in self.polymers]
 
@@ -420,9 +422,12 @@ def criterion_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float]
     """One polymer's radius mu_g / phi(mu) for one condition: "kp"
     (exponential), "dob" (product) or "fp" (neighborhood partition function,
     bounded from above where the exact recursion refuses the neighborhood)."""
-    nbh = sys.neighborhood(g)
+    nbh = sys._nbr_order[g]
     if which == "kp":
-        return mu[g] / math.exp(sum(mu[h] for h in nbh))
+        try:
+            return mu[g] / math.exp(sum(mu[h] for h in nbh))
+        except OverflowError:  # e^(sum mu) is past the largest float
+            return 0.0
     if which == "dob":
         prod = 1.0
         for h in nbh:
@@ -435,7 +440,7 @@ def criterion_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float]
 
 def _fp_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float]) -> tuple[float, bool]:
     """(fp radius, whether it used the exact neighborhood partition function)."""
-    nbh = sys.neighborhood(g)
+    nbh = sys._nbr_order[g]
     try:
         return mu[g] / abs(partition_function(sys, nbh, activities=mu)), True
     except CapExceededError:
@@ -458,16 +463,11 @@ def constant_mu_radius(sys: PolymerSystem, polymer: Polymer, which: str, mu: flo
 
 def optimize_constant_mu(sys: PolymerSystem, polymer: Polymer, which: str) -> tuple[float, float]:
     """Golden-section maximisation of the chosen radius over a constant mu
-    in [1e-6, 30]."""
-    f = lambda m: constant_mu_radius(sys, polymer, which, m)
-    # bracket the maximum on a log grid first
+    in [1e-6, 30], bracketed on a log grid first."""
     import numpy as np
 
-    grid = np.geomspace(1e-6, 30.0, 220)
-    vals = [f(m) for m in grid]
-    k = int(max(range(len(vals)), key=vals.__getitem__))
-    m = _golden_max(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-    return m, f(m)
+    return grid_max(lambda m: constant_mu_radius(sys, polymer, which, m),
+                    np.geomspace(1e-6, 30.0, 220))
 
 
 def regular_graph_thresholds(Delta: int) -> tuple[float, float, float]:

@@ -6,6 +6,9 @@ clusters break stability, a power-law core-plus-tail class, the classical
 12-6 potential, and user-supplied step tables.  Each family constructor is
 the only way to build its spec; ``build_spec`` looks a family up by name, so
 spec files and the command line share the constructors' checks and defaults.
+The four piecewise-constant families share one step profile,
+``PairPotentialSpec.steps``, which every shape query reads; only the two
+power-law families are evaluated by formula.
 
 Stability is probed, never proved: ``stability_estimate`` reports a certified
 lower bound on B_n together with the witness configuration that achieves it.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from inspect import Parameter, signature
 from typing import Callable, Iterable, Sequence
 
@@ -50,6 +54,24 @@ class PairPotentialSpec:
     @property
     def p(self) -> dict:
         return dict(self.params)
+
+    @cached_property
+    def steps(self) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+        """The step profile (radii, values) of a piecewise-constant family:
+        V = values[k] on the first bin with r <= radii[k], 0 beyond the last
+        radius.  None for the power-law families ``lj_type`` and
+        ``lennard_jones``."""
+        p = self.p
+        if self.family == "hard_core":
+            return (p["a"],), (INF,)
+        if self.family == "square_well":
+            return (p["R"], p["R"] + p["delta"]), (p["A"], -1.0)
+        if self.family == "ruelle":
+            # the barrier bin [0, R - delta) is open: its last float lies one below R - delta
+            return (math.nextafter(p["R"] - p["delta"], 0.0), p["R"] + p["delta"]), (11.0, -1.0)
+        if self.family == "step_table":
+            return p["radii"], p["values"]
+        return None
 
     def to_text(self) -> str:
         lines = [f"family = {self.family}", f"dimension = {self.dimension}"]
@@ -198,101 +220,60 @@ def potential_eval(spec: PairPotentialSpec, r: float) -> float:
     """Radial value at separation r >= 0; +inf inside a hard core."""
     if r < 0:
         raise ValueError("separation must be nonnegative")
+    steps = spec.steps
+    if steps is not None:
+        for rk, vk in zip(*steps):
+            if r <= rk:
+                return vk
+        return 0.0
+    if r == 0.0:
+        return INF
     p = spec.p
-    f = spec.family
-    if f == "hard_core":
-        return INF if r <= p["a"] else 0.0
-    if f == "square_well":
-        if r <= p["R"]:
-            return p["A"]
-        if r <= p["R"] + p["delta"]:
-            return -1.0
-        return 0.0
-    if f == "ruelle":
-        if r < p["R"] - p["delta"]:
-            return 11.0
-        if r <= p["R"] + p["delta"]:
-            return -1.0
-        return 0.0
-    if f == "lj_type":
-        if r == 0.0:
-            return INF
+    if spec.family == "lj_type":
         power = spec.dimension + p["eps"]
         if r <= p["a"]:
             return p["c1"] / r**power
         return -p["c2"] / r**power
-    if f == "lennard_jones":
-        if r == 0.0:
-            return INF
-        x = (p["sigma"] / r) ** 6
-        return p["epsilon"] * (x * x - 2.0 * x)
-    if f == "step_table":
-        for rk, vk in zip(p["radii"], p["values"]):
-            if r <= rk:
-                return vk
-        return 0.0
-    raise AssertionError(f)
+    x = (p["sigma"] / r) ** 6
+    return p["epsilon"] * (x * x - 2.0 * x)
 
 
 def is_nonnegative(spec: PairPotentialSpec) -> bool:
+    steps = spec.steps
+    if steps is not None:
+        return all(v >= 0 for v in steps[1])
     p = spec.p
-    f = spec.family
-    if f == "hard_core":
-        return True
-    if f == "square_well" or f == "ruelle":
-        return False
-    if f == "lj_type":
-        return p["c2"] == 0
-    if f == "lennard_jones":
-        return p["epsilon"] == 0
-    if f == "step_table":
-        return all(v >= 0 for v in p["values"])
-    raise AssertionError(f)
+    if spec.family == "lj_type":
+        return p["c1"] >= 0 and p["c2"] == 0
+    return p["epsilon"] == 0
 
 
 def length_scale(spec: PairPotentialSpec) -> float:
+    if spec.steps is not None:
+        return spec.steps[0][-1]
     p = spec.p
-    f = spec.family
-    if f in ("hard_core", "lj_type"):
-        return p["a"]
-    if f in ("square_well", "ruelle"):
-        return p["R"] + p["delta"]
-    if f == "lennard_jones":
-        return p["sigma"]
-    if f == "step_table":
-        return p["radii"][-1]
-    raise AssertionError(f)
+    return p["a"] if spec.family == "lj_type" else p["sigma"]
 
 
 def _breakpoints(spec: PairPotentialSpec) -> list[float]:
+    if spec.steps is not None:
+        return list(spec.steps[0])
     p = spec.p
-    f = spec.family
-    if f in ("hard_core", "lj_type"):
+    if spec.family == "lj_type":
         return [p["a"]]
-    if f == "square_well":
-        return [p["R"], p["R"] + p["delta"]]
-    if f == "ruelle":
-        return [p["R"] - p["delta"], p["R"] + p["delta"]]
-    if f == "lennard_jones":
-        s = p["sigma"]
-        return [s * 2 ** (-1 / 6), s, 2 * s]
-    if f == "step_table":
-        return list(p["radii"])
-    raise AssertionError(f)
+    s = p["sigma"]
+    return [s * 2 ** (-1 / 6), s, 2 * s]
 
 
 def _tail(spec: PairPotentialSpec) -> tuple[float, float] | None:
     """(decay power, coefficient) of |V| ~ coeff * r^-power, or None if the
     potential vanishes beyond the last breakpoint."""
-    f = spec.family
-    p = spec.p
-    if f in ("hard_core", "square_well", "ruelle", "step_table"):
+    if spec.steps is not None:
         return None
-    if f == "lj_type":
+    p = spec.p
+    if spec.family == "lj_type":
         return (spec.dimension + p["eps"], p["c2"])
-    if f == "lennard_jones":
-        return (6.0, 2.0 * p["epsilon"] * p["sigma"] ** 6)
-    raise AssertionError(f)
+    return (6.0, 2.0 * p["epsilon"] * p["sigma"] ** 6)
 
 
 def sphere_surface(d: int) -> float:
@@ -614,42 +595,37 @@ class BasuevClassification:
 def negative_part_envelope_integral(spec: PairPotentialSpec) -> float:
     """Integral over R^d of the monotone decreasing envelope of V^- = max(-V, 0)."""
     d = spec.dimension
-    surf = sphere_surface(d)
-    p = spec.p
-    f = spec.family
     if is_nonnegative(spec):
         return 0.0
-    if f in ("square_well", "ruelle"):
-        return sphere_volume(d, p["R"] + p["delta"])
-    if f == "step_table":
-        # envelope at r: max depth at radii >= r
-        radii, values = p["radii"], p["values"]
-        env = 0.0
-        prev = 0.0
+    if spec.steps is not None:
+        # envelope on bin k: the greatest depth at radii >= radii[k]
+        radii, values = spec.steps
         depth_beyond = [0.0] * (len(radii) + 1)
         for k in range(len(radii) - 1, -1, -1):
             depth_beyond[k] = max(depth_beyond[k + 1], max(-values[k], 0.0))
+        env = 0.0
+        prev = 0.0
         for k, rk in enumerate(radii):
             env += depth_beyond[k] * (sphere_volume(d, rk) - sphere_volume(d, prev))
             prev = rk
         return env
     from scipy.integrate import quad
 
-    if f == "lj_type":
+    surf = sphere_surface(d)
+    p = spec.p
+    if spec.family == "lj_type":
         power = d + p["eps"]
         a0, c2 = p["a"], p["c2"]
         head = c2 / a0**power * sphere_volume(d, a0)
         tail_int, _ = quad(lambda r: c2 * r ** (-power) * r ** (d - 1), a0, np.inf, limit=200)
         return head + surf * tail_int
-    if f == "lennard_jones":
-        epsv, s = p["epsilon"], p["sigma"]
-        head = epsv * sphere_volume(d, s)  # depth is eps, attained at sigma
-        tail_int, _ = quad(
-            lambda r: abs(min(potential_eval(spec, r), 0.0)) * r ** (d - 1),
-            s, np.inf, limit=400,
-        )
-        return head + surf * tail_int
-    raise ValueError(f"no envelope integral for family {f!r}")
+    epsv, s = p["epsilon"], p["sigma"]
+    head = epsv * sphere_volume(d, s)  # depth is eps, attained at sigma
+    tail_int, _ = quad(
+        lambda r: abs(min(potential_eval(spec, r), 0.0)) * r ** (d - 1),
+        s, np.inf, limit=400,
+    )
+    return head + surf * tail_int
 
 
 def basuev_classify(spec: PairPotentialSpec, a: float) -> BasuevClassification:

@@ -207,7 +207,7 @@ class TestCriterion4HardSphere:
         assert r.coefficient >= 0.5107
         assert r.classical == 1 / math.e
         mu0 = H.reference_mu_trial()
-        assert mu0 / H.cd_polynomial(2, mu0, H.G2_REFERENCE) == pytest.approx(0.5107, abs=1e-3)
+        assert mu0 / H.cd_polynomial(mu0, H.G2_REFERENCE) == pytest.approx(0.5107, abs=1e-3)
         report("criterion-4 radius", f"optimised {r.coefficient:.4f} >= 0.5107 > 1/e = {r.classical:.4f}")
 
 
@@ -396,7 +396,7 @@ class TestCriterion12LJRatio:
         out = {}
         for beta in self.BETAS:
             ri = P.regularity_integrals(lj, beta)
-            rb = M.radius_bounds(beta, 8.61, None, ri.c, ri.c_tilde)
+            rb = M.radius_bounds(beta, 8.61, ri.c, ri.c_tilde)
             out[beta] = rb
         return out
 

@@ -153,6 +153,12 @@ class TestPolymerCommand:
         assert data["dob"]["radius"] == pytest.approx(0.0566527, rel=1e-5)
         assert data["fp"]["radius"] == pytest.approx(1 / 13, rel=1e-6)
 
+    def test_large_neighborhood_criteria(self, capsys):
+        # the mu grid reaches e^(24 * 30), past the largest float
+        code, data = run_json(capsys, ["polymer", "criteria", "--model", "delta:23"])
+        assert code == 0
+        assert data["kp"]["radius"] == pytest.approx(1 / (24 * math.e), rel=1e-8)
+
     def test_subset_check_exit_zero(self, capsys):
         code, data = run_json(capsys, ["polymer", "subset-check", "--vertices", "6",
                                        "--seed", "4"])

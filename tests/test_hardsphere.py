@@ -62,11 +62,11 @@ class TestMonteCarlo:
 
 class TestPolynomial:
     def test_value_at_zero(self):
-        assert H.cd_polynomial(2, 0.0, H.G2_REFERENCE) == 1.0
+        assert H.cd_polynomial(0.0, H.G2_REFERENCE) == 1.0
 
     def test_derivative_at_zero(self):
         h = 1e-7
-        deriv = (H.cd_polynomial(2, h, H.G2_REFERENCE) - 1.0) / h
+        deriv = (H.cd_polynomial(h, H.G2_REFERENCE) - 1.0) / h
         assert deriv == pytest.approx(1.0, abs=1e-6)
 
     def test_reference_table_heads(self):
@@ -81,7 +81,7 @@ class TestImprovedRadius:
 
     def test_reference_trial_close_to_optimum(self):
         mu0 = H.reference_mu_trial()
-        val0 = mu0 / H.cd_polynomial(2, mu0, H.G2_REFERENCE)
+        val0 = mu0 / H.cd_polynomial(mu0, H.G2_REFERENCE)
         assert val0 == pytest.approx(0.5107, abs=1e-3)
         r = H.improved_radius()
         assert r.coefficient >= val0 - 1e-12

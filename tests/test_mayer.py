@@ -265,7 +265,7 @@ class TestBounds:
 
 class TestRadii:
     def test_ratio_one_for_repulsive(self):
-        rb = M.radius_bounds(1.0, 0.0, None, 2.0, 2.0)
+        rb = M.radius_bounds(1.0, 0.0, 2.0, 2.0)
         assert rb.ratio == pytest.approx(1.0, abs=1e-15)
 
     def test_ratio_always_at_least_one(self):
@@ -273,7 +273,7 @@ class TestRadii:
         for _ in range(20):
             c = rng.uniform(0.5, 5.0)
             ct = rng.uniform(0.1, 1.0) * c
-            rb = M.radius_bounds(rng.uniform(0.1, 5.0), rng.uniform(0.0, 3.0), None, c, ct)
+            rb = M.radius_bounds(rng.uniform(0.1, 5.0), rng.uniform(0.0, 3.0), c, ct)
             assert rb.ratio >= 1.0 - 1e-12
             assert rb.r_star >= rb.r_pr * (1 - 1e-12)
 

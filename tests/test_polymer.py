@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -393,12 +397,29 @@ class TestCriteria:
         assert kp <= dob <= fp
 
     def test_regular_graph_vs_numeric_optimum(self):
-        for delta in (3, 6):
+        for delta in (3, 6, 23, 40):  # from 23 on, e^(sum mu) overflows on the mu grid
             s = PL.delta_regular_system(delta)
             _, rfp = PL.optimize_constant_mu(s, "c", "fp")
             assert rfp == pytest.approx(PL.regular_graph_thresholds(delta)[2], rel=1e-10)
             _, rkp = PL.optimize_constant_mu(s, "c", "kp")
             assert rkp == pytest.approx(PL.regular_graph_thresholds(delta)[0], rel=1e-8)
+
+    def test_radii_do_not_follow_the_hash_seed(self):
+        # str polymers hash differently under each seed; the float sums must not
+        script = ("from clusterexp import polymer as PL\n"
+                  "s = PL.delta_regular_system(130)\n"
+                  "mu = {g: 0.01 * (1 + k % 7) for k, g in enumerate(s.polymers)}\n"
+                  "print(repr(PL.criteria(PL.CriterionInput(s, mu))))\n")
+        path = [str(Path(PL.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        pythonpath = os.pathsep.join(p for p in path if p)
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestSubsetGas:

@@ -14,6 +14,7 @@ class TestEvaluation:
         ru = P.ruelle(1.0, 0.3)
         assert P.potential_eval(ru, 0.3) == 11.0
         assert P.potential_eval(ru, 0.7) == -1.0
+        assert P.potential_eval(ru, math.nextafter(0.7, 0.0)) == 11.0  # the barrier bin is open
         assert P.potential_eval(ru, 1.3) == -1.0
         assert P.potential_eval(ru, 1.31) == 0.0
 
@@ -33,6 +34,14 @@ class TestEvaluation:
         lj = P.lennard_jones()
         assert P.potential_eval(lj, 1.0) == pytest.approx(-1.0)
         assert P.potential_eval(lj, 2 ** (-1 / 6) / 1.0001) > 0
+
+    def test_step_profile_reproduces_each_family(self):
+        for spec in (P.hard_core(0.7), P.square_well(3.0, 1.1, 0.2), P.ruelle(1.0, 0.4),
+                     P.step_table((0.5, 1.0), (-2.0, 1.0))):
+            table = P.step_table(*spec.steps)
+            for r in (0.0, 0.3, 0.6, 0.7, 0.9, 1.0, 1.1, 1.3, 1.4, 3.0):
+                assert P.potential_eval(table, r) == P.potential_eval(spec, r)
+        assert P.lj_type().steps is None and P.lennard_jones().steps is None
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
@@ -88,6 +97,12 @@ class TestEvaluation:
 class TestStabilitySearch:
     def test_nonnegative_exact_zero(self):
         assert P.stability_estimate(P.hard_core(1.0), 6).estimate == 0.0
+
+    def test_negative_lj_type_core_is_unstable(self):
+        spec = P.lj_type(c1=-1.0, c2=0.0)
+        assert P.potential_eval(spec, 0.5) == -16.0
+        assert not P.is_nonnegative(spec)
+        assert P.stability_estimate(spec, 4, budget=2).estimate > 0
 
     def test_collapse_well(self):
         b = 2.0
@@ -210,6 +225,19 @@ class TestRegularityIntegrals:
         r2 = P.regularity_integrals(P.lennard_jones(), 1.0, abs_tol=1e-10)
         assert r1.c == pytest.approx(r2.c, abs=1e-8)
         assert r1.c_tilde == pytest.approx(r2.c_tilde, abs=1e-8)
+
+
+class TestEnvelope:
+    def test_square_well_core_deeper_than_its_well(self):
+        # the envelope is 5 on [0, 1] and 1 on (1, 1.25]
+        env = P.negative_part_envelope_integral(P.square_well(-5.0, 1.0, 0.25))
+        v1, v2 = P.sphere_volume(3, 1.0), P.sphere_volume(3, 1.25)
+        assert env == pytest.approx(5.0 * v1 + v2 - v1, rel=1e-14)
+
+    def test_shallow_well_envelope_is_the_ball(self):
+        for spec in (P.square_well(2.0, 1.0, 0.25), P.ruelle(1.0, 0.25)):
+            env = P.negative_part_envelope_integral(spec)
+            assert env == pytest.approx(P.sphere_volume(3, 1.25), rel=1e-14)
 
 
 class TestBasuev:
