@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import MASK_CHUNK, CapExceededError
+from .mayer import bisect_root
 
 BRUTE_CAP = 5   # the density-of-states sweep visits 2^(L^2) configurations
 HIGH_T_CAP = 6  # the even-subgraph walk visits 2^((L-1)^2) cycle-space elements
@@ -343,9 +344,7 @@ def duality_check(L: int, beta: float) -> DualityReport:
     probes = (0.2, 0.5, 1.0)
     ident = max(abs(math.exp(-2.0 * dual_coupling(b)) - math.tanh(b)) for b in probes)
     invol = max(abs(dual_coupling(dual_coupling(b)) - b) for b in probes)
-    from scipy.optimize import brentq
-
-    beta_c = brentq(lambda b: dual_coupling(b) - b, 0.2, 1.0, xtol=1e-15)
+    beta_c = bisect_root(lambda b: dual_coupling(b) - b, 0.2, 1.0)
     return DualityReport(
         beta=beta,
         phi_beta=dual_coupling(beta),
@@ -462,11 +461,9 @@ def _animal_quartic_root() -> float:
     """Root of e^(4a) y^4 + (e^(2a) - e^a) y - (e^a - 1) = 0 on (0, 1) at
     a = ANIMAL_A: the largest admissible value of 3*(activity) in the high-
     and low-temperature counting conditions."""
-    from scipy.optimize import brentq
-
     a = ANIMAL_A
     f = lambda y: math.exp(4 * a) * y**4 + (math.exp(2 * a) - math.exp(a)) * y - (math.exp(a) - 1.0)
-    return brentq(f, 1e-9, 1.0, xtol=1e-12)
+    return bisect_root(f, 1e-9, 1.0)
 
 
 @dataclass
@@ -492,8 +489,6 @@ def animal_counts_and_thresholds() -> ThresholdReport:
     beta0 = math.atanh(y / 3.0)
     beta1 = 0.5 * math.log(3.0 / y)
     beta0p = math.atanh(1.0 / 3.0)
-    from scipy.optimize import brentq
-
-    g_root = brentq(lambda x: x**4 * (4.0 - 3.0 * x) / (1.0 - x) ** 2 - 0.5, 1e-6, 0.9, xtol=1e-12)
+    g_root = bisect_root(lambda x: x**4 * (4.0 - 3.0 * x) / (1.0 - x) ** 2 - 0.5, 1e-6, 0.9)
     beta1p = 0.5 * math.log(3.0 / g_root)
     return ThresholdReport(ANIMAL_A, y, beta0, beta1, beta0p, beta1p, g_root, counts)

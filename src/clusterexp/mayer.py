@@ -402,6 +402,31 @@ def grid_max(f: Callable[[float], float], grid: Sequence[float]) -> tuple[float,
     return x, f(x)
 
 
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] by bisection, which needs f(lo) and f(hi) of
+    opposite signs (or one of them zero); it halves the bracket until the
+    midpoint equals an endpoint, so the result is within one float of a sign
+    change of f."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+
+
 def virial_max_golden() -> tuple[float, float]:
     """Maximise w(2 e^(-w) - 1) on (0, ln 2): dense grid then golden section."""
     return grid_max(virial_objective, np.linspace(1e-12, math.log(2.0) - 1e-12, 20001))
@@ -409,9 +434,7 @@ def virial_max_golden() -> tuple[float, float]:
 
 def virial_max_newton() -> tuple[float, float]:
     """Same maximum through the stationarity condition 2 e^(-w) (1 - w) = 1."""
-    from scipy.optimize import brentq
-
-    w = brentq(lambda w: 2.0 * math.exp(-w) * (1.0 - w) - 1.0, 1e-9, math.log(2.0), xtol=1e-14)
+    w = bisect_root(lambda w: 2.0 * math.exp(-w) * (1.0 - w) - 1.0, 1e-9, math.log(2.0))
     return w, virial_objective(w)
 
 

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import CapExceededError
-from .mayer import grid_max
+from .mayer import bisect_root, grid_max
 from .potentials import call_checked
 from .ursell import INF, InteractionMatrix, ursell_graph_sum
 
@@ -748,9 +748,7 @@ def _catalog_bounded_spin(c: float, J: float, beta: float | None = None) -> Boun
 def _catalog_unbounded_spin(x: float | None = None) -> BoundReport:
     closed = (math.e - 1.0) / (4.0 * math.e**2)
     # largest x with -ln(1 - 4 e x) <= 1, root-solved
-    from scipy.optimize import brentq
-
-    root = brentq(lambda t: -math.log1p(-4.0 * math.e * t) - 1.0, 1e-12, 1.0 / (4.0 * math.e) - 1e-12)
+    root = bisect_root(lambda t: -math.log1p(-4.0 * math.e * t) - 1.0, 1e-12, 1.0 / (4.0 * math.e) - 1e-12)
     assert abs(root - closed) < 1e-12
     return _report(
         "unbounded_spin",

@@ -317,6 +317,35 @@ class StabilityReport:
         return -configuration_energy(spec, self.witness) / self.n
 
 
+def _pair_distances(diff: np.ndarray) -> np.ndarray:
+    """|diff| over the last axis, as ``np.linalg.norm`` rounds it: each
+    squared length is one BLAS dot, as in the norm of a single vector."""
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+
+
+def _pair_value_function(spec: PairPotentialSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """V over an array of separations, value for value equal to ``potential_eval``."""
+    steps = spec.steps
+    if steps is not None:
+        radii = np.asarray(steps[0])
+        table = np.asarray(steps[1] + (0.0,))
+        return lambda r: table[np.searchsorted(radii, r, side="left")]  # first bin with r <= radii[k]
+
+    def power_law(r: np.ndarray) -> np.ndarray:
+        return np.array([potential_eval(spec, x) for x in r.ravel().tolist()]).reshape(r.shape)
+
+    return power_law
+
+
+def _sequential_totals(rows: np.ndarray) -> np.ndarray:
+    """Row sums of pair energies added left to right from 0.0, as
+    ``configuration_energy`` adds them (``np.sum`` adds pairwise); a row with
+    a +inf pair totals +inf, as that loop returns early."""
+    with np.errstate(invalid="ignore"):  # +inf and -inf pairs sum to NaN
+        totals = 0.0 + np.cumsum(rows, axis=-1)[..., -1]
+    return np.where((rows == INF).any(axis=-1), INF, totals)
+
+
 def stability_estimate(spec: PairPotentialSpec, n: int, budget: int = 40,
                        seed: int = 0) -> StabilityReport:
     """Lower bound on B_n = sup over configurations of -U/n.
@@ -324,6 +353,12 @@ def stability_estimate(spec: PairPotentialSpec, n: int, budget: int = 40,
     Multistart random placement in a box of side four length scales followed
     by coordinate descent; never more than a lower bound.  For nonnegative
     potentials the exact value 0 is returned.
+
+    The descent keeps the n(n-1)/2 pair energies in ``configuration_energy``'s
+    pair order; a trial move of particle i recomputes the n-1 pairs touching
+    i, and the 14 trial steps along one axis are evaluated in one batch.
+    Totals round as ``configuration_energy`` does, so the search takes the
+    same path as the scalar loop it replaces.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -336,16 +371,26 @@ def stability_estimate(spec: PairPotentialSpec, n: int, budget: int = 40,
     best = -INF
     best_pts = None
     total_iters = 0
+    pair_values = _pair_value_function(spec)
+    first, second = np.triu_indices(n, 1)  # the pair order of configuration_energy
+    touching = [np.flatnonzero((first == i) | (second == i)) for i in range(n)]
+    partners = [np.where(first[t] == i, second[t], first[t]) for i, t in enumerate(touching)]
+
+    def pair_energies(pts: np.ndarray) -> np.ndarray:
+        return pair_values(_pair_distances(pts[first] - pts[second]))
 
     steps = [scale * f for f in (0.6, 0.25, 0.1, 0.04, 0.015, 0.005, 0.002)]
+    moves = np.array([sgn * step for step in steps for sgn in (+1.0, -1.0)])
     for k in range(budget):
         rng = np.random.default_rng(children[k])
         pts = rng.uniform(0.0, side, size=(n, d))
-        u = configuration_energy(spec, pts)
+        energies = pair_energies(pts)
+        u = float(_sequential_totals(energies))
         tries = 0
         while u == INF and tries < 50:
             pts = rng.uniform(0.0, side, size=(n, d))
-            u = configuration_energy(spec, pts)
+            energies = pair_energies(pts)
+            u = float(_sequential_totals(energies))
             tries += 1
         if u == INF:
             continue
@@ -354,21 +399,33 @@ def stability_estimate(spec: PairPotentialSpec, n: int, budget: int = 40,
         for f in (0.85, 0.7, 0.55, 0.4, 0.3, 0.2, 0.12, 0.06, 0.03):
             center = pts.mean(axis=0)
             trial = center + (pts - center) * f
-            ut = configuration_energy(spec, trial)
+            trial_energies = pair_energies(trial)
+            ut = float(_sequential_totals(trial_energies))
             if ut < u:
-                pts, u = trial, ut
+                pts, u, energies = trial, ut, trial_energies
         for sweep in range(DESCENT_SWEEPS):
             improved = False
             for i in range(n):
+                touch, others = touching[i], pts[partners[i]]
                 for axis in range(d):
-                    for step in steps:
-                        for sgn in (+1.0, -1.0):
-                            trial = pts.copy()
-                            trial[i, axis] += sgn * step
-                            ut = configuration_energy(spec, trial)
-                            if ut < u:
-                                pts, u = trial, ut
-                                improved = True
+                    # the greedy loop over the moves, in order: the first move
+                    # that lowers the energy is taken, and the moves after it
+                    # start from the new position
+                    start = 0
+                    while start < len(moves):
+                        cands = np.repeat(pts[i][None, :], len(moves) - start, axis=0)
+                        cands[:, axis] += moves[start:]
+                        rows = np.repeat(energies[None, :], len(cands), axis=0)
+                        rows[:, touch] = pair_values(_pair_distances(cands[:, None, :] - others))
+                        totals = _sequential_totals(rows)
+                        lower = np.flatnonzero(totals < u)
+                        if not len(lower):
+                            break
+                        m = lower[0]
+                        pts[i] = cands[m]
+                        energies, u = rows[m], float(totals[m])
+                        improved = True
+                        start += m + 1
             total_iters += 1
             if not improved:
                 break
@@ -393,18 +450,25 @@ class FccWitness:
     shells: int
 
 
+# the 6 nearest-neighbour vectors (1, +-1, 0) and their permutations, one of each +-pair
+_FCC_HALF_BONDS = np.array([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)])
+
+
+def _fcc_integer_sites(shells: int) -> np.ndarray:
+    """The integer triples with an even coordinate sum and i^2 + j^2 + k^2
+    <= 2 shells^2: the fcc ball of ``fcc_points`` scaled by sqrt(2)."""
+    m = math.isqrt(2 * shells * shells)
+    axis = np.arange(-m, m + 1)
+    I, J, K = np.meshgrid(axis, axis, axis, indexing="ij")
+    sites = np.stack([I.ravel(), J.ravel(), K.ravel()], axis=1)
+    sites = sites[(sites.sum(axis=1) % 2) == 0]
+    return sites[(sites * sites).sum(axis=1) <= 2 * shells * shells]
+
+
 def fcc_points(shells: int) -> np.ndarray:
     """Face-centred-cubic sites with nearest-neighbour distance 1 inside a
     ball of radius ``shells``."""
-    if shells == 0:
-        return np.zeros((1, 3))
-    m = int(math.ceil(shells * math.sqrt(2.0))) + 1
-    axis = np.arange(-m, m + 1)
-    I, J, K = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([I.ravel(), J.ravel(), K.ravel()], axis=1)
-    pts = pts[(pts.sum(axis=1) % 2) == 0] / math.sqrt(2.0)
-    keep = np.linalg.norm(pts, axis=1) <= shells + 1e-9
-    return pts[keep]
+    return _fcc_integer_sites(shells) / math.sqrt(2.0)
 
 
 def fcc_witness(shells: int) -> FccWitness:
@@ -412,18 +476,20 @@ def fcc_witness(shells: int) -> FccWitness:
 
     bond_count / n tends to 6 from below as the ball grows; a cluster with
     bond_count > 11 n / 2 witnesses the instability of the barrier-11 step
-    potential.
+    potential.  A bond is an integer difference in +-_FCC_HALF_BONDS between
+    two sites of ``_fcc_integer_sites``, so the count is exact.
     """
     if shells < 0:
         raise ValueError("need shells >= 0")
-    pts = fcc_points(shells)
-    if len(pts) < 2:
-        return FccWitness(pts, 0, len(pts), shells)
-    from scipy.spatial import cKDTree
+    sites = _fcc_integer_sites(shells)
+    base = 2 * math.isqrt(2 * shells * shells) + 3  # digits of a coordinate shifted into [0, base)
 
-    tree = cKDTree(pts)
-    bonds = tree.query_pairs(1.0 + 1e-9)
-    return FccWitness(pts, len(bonds), len(pts), shells)
+    def encode(x: np.ndarray) -> np.ndarray:
+        return (x + base // 2) @ np.array([base * base, base, 1])
+
+    keys = encode(sites)
+    bonds = sum(int(np.isin(encode(sites + h), keys).sum()) for h in _FCC_HALF_BONDS)
+    return FccWitness(sites / math.sqrt(2.0), bonds, len(sites), shells)
 
 
 def fcc_instability_sweep(max_shells: int = 14) -> tuple[list[FccWitness], FccWitness | None]:
@@ -537,11 +603,15 @@ def regularity_integrals(spec: PairPotentialSpec, beta: float,
             raise DivergentTailError(
                 f"tail decay r^-{power} is not absolutely integrable in d={d}"
             )
+        last = pts[-1] if pts else 1.0
         # cut where the linearised tail contribution drops below target
-        r_cut = max(pts[-1] if pts else 1.0,
-                    (4.0 * beta * coeff * surf / ((power - d) * 1e-12)) ** (1.0 / (power - d)))
-        segments = [0.0] + pts + [10.0 * (pts[-1] if pts else 1.0), r_cut]
-        segments = sorted(set(segments))
+        r_cut = max(last, (4.0 * beta * coeff * surf / ((power - d) * 1e-12)) ** (1.0 / (power - d)))
+        # one quad segment per decade past the last breakpoint: over a single
+        # segment of many decades quad misses the tail
+        edges = [10.0 * last]
+        while 10.0 * edges[-1] < r_cut:
+            edges.append(10.0 * edges[-1])
+        segments = sorted(set([0.0] + pts + edges + [r_cut]))
         infinite_tail = True
 
     from scipy.integrate import quad
@@ -609,16 +679,16 @@ def negative_part_envelope_integral(spec: PairPotentialSpec) -> float:
             env += depth_beyond[k] * (sphere_volume(d, rk) - sphere_volume(d, prev))
             prev = rk
         return env
-    from scipy.integrate import quad
-
     surf = sphere_surface(d)
     p = spec.p
     if spec.family == "lj_type":
-        power = d + p["eps"]
-        a0, c2 = p["a"], p["c2"]
-        head = c2 / a0**power * sphere_volume(d, a0)
-        tail_int, _ = quad(lambda r: c2 * r ** (-power) * r ** (d - 1), a0, np.inf, limit=200)
-        return head + surf * tail_int
+        if p["c1"] < 0:
+            return INF  # an attractive core -c1 r^-(d+eps) is not integrable at 0
+        a0, c2, eps = p["a"], p["c2"], p["eps"]
+        head = c2 / a0 ** (d + eps) * sphere_volume(d, a0)
+        return head + surf * c2 * a0**-eps / eps  # the tail integral of c2 r^-(d+eps) r^(d-1)
+    from scipy.integrate import quad
+
     epsv, s = p["epsilon"], p["sigma"]
     head = epsv * sphere_volume(d, s)  # depth is eps, attained at sigma
     tail_int, _ = quad(
@@ -678,6 +748,8 @@ def strongly_basuev_core_radius(spec: PairPotentialSpec) -> float:
     if spec.family != "lj_type":
         raise ValueError("closed-form core radius is defined for the lj_type family")
     p = spec.p
+    if not p["c1"] > 0:
+        raise ValueError("the core radius needs a repulsive core, c1 > 0")
     d = spec.dimension
     c_d = (4 * d) ** (d / 2) * negative_part_envelope_integral(spec)
     # c1 a^-(d+eps) = 2 c_d / a^d  =>  a = (c1 / (2 c_d))^(1/eps)

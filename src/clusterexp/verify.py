@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +83,8 @@ def identity_suite(max_n: int = 5, trials: int = 40, seed: int = 0,
     if jobs <= 1:
         outcomes = list(map(_identity_trial, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # its import costs every command
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_identity_trial, tasks,
                                      chunksize=max(1, len(tasks) // (4 * jobs))))

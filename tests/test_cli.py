@@ -3,6 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +76,15 @@ class TestPotentialsCommand:
     def test_fcc(self, capsys):
         code, data = run_json(capsys, ["potentials", "fcc", "--shells", "1"])
         assert code == 0 and data["n"] == 13 and data["bond_count"] == 36
+
+    @pytest.mark.parametrize("params", [["c1=1", "c2=1", "eps=1", "a=1"], ["eps=2"], ["c2=0.1"]],
+                             ids=["defaults", "eps2", "weak-tail"])
+    def test_lj_type_integrals_converge_without_warnings(self, capsys, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["potentials", "integrals", "--family", "lj_type", "--params", *params,
+                         "--beta", "0.7"])
+        assert code == 0 and capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
     @pytest.mark.parametrize("family", list(FAMILY_PARAMS))
@@ -287,6 +301,21 @@ class TestHarness:
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
+
+    def test_commands_without_quadrature_do_not_import_scipy(self):
+        script = ("import sys\n"
+                  "from clusterexp import cli\n"
+                  "for argv in ('potentials stability --family square_well --params A=5 R=1 "
+                  "delta=0.5 --n 6', 'potentials fcc --shells 10', 'ising duality --L 5 --beta 0.3', "
+                  "'mayer virial --beta 1 --Bbar 0.5 --Ctilde 0.3'):\n"
+                  "    assert cli.main(argv.split()) == 0, argv\n"
+                  "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+        path = [str(Path(P.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_empty_csv_is_header_only(self, capsys):
         assert main(["verify", "--max-n", "1", "--format", "csv"]) == 0

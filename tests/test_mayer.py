@@ -337,3 +337,32 @@ class TestVirialTools:
         assert tools.w_from_activity(0.1) == pytest.approx(
             M.solve_w(0.3 * math.exp(0.5) * 0.1), abs=1e-14
         )
+
+
+class TestBisectRoot:
+    def test_refuses_a_bracket_without_a_sign_change(self):
+        with pytest.raises(ValueError, match="same sign"):
+            M.bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="same sign"):
+            M.bisect_root(lambda x: x - 2.0, 0.0, 1.0)
+
+    def test_a_zero_endpoint_is_the_root(self):
+        assert M.bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert M.bisect_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_self_dual_coupling_within_one_ulp(self):
+        from clusterexp.ising import dual_coupling
+
+        root = M.bisect_root(lambda b: dual_coupling(b) - b, 0.2, 1.0)
+        exact = math.log(1.0 + math.sqrt(2.0)) / 2.0
+        assert abs(root - exact) <= math.ulp(exact)
+
+    def test_unbounded_spin_threshold_within_one_ulp(self):
+        root = M.bisect_root(lambda t: -math.log1p(-4.0 * math.e * t) - 1.0,
+                             1e-12, 1.0 / (4.0 * math.e) - 1e-12)
+        exact = (math.e - 1.0) / (4.0 * math.e**2)
+        assert abs(root - exact) <= math.ulp(exact)
+
+    def test_decreasing_function(self):
+        root = M.bisect_root(lambda x: 2.0 - x * x, 0.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))

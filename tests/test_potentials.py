@@ -94,7 +94,97 @@ class TestEvaluation:
             P.lj_type(eps=math.nan)
 
 
+def scalar_descent(spec, n, budget=40, seed=0):
+    """The stability search as one scalar loop over ``configuration_energy``:
+    the reference the batched descent of ``stability_estimate`` must follow."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if P.is_nonnegative(spec):
+        return P.StabilityReport(n, 0.0, None, 0, seed, budget)
+    d = spec.dimension
+    scale = P.length_scale(spec)
+    side = 4.0 * scale
+    children = np.random.SeedSequence(seed).spawn(budget)
+    best = -P.INF
+    best_pts = None
+    total_iters = 0
+
+    steps = [scale * f for f in (0.6, 0.25, 0.1, 0.04, 0.015, 0.005, 0.002)]
+    for k in range(budget):
+        rng = np.random.default_rng(children[k])
+        pts = rng.uniform(0.0, side, size=(n, d))
+        u = P.configuration_energy(spec, pts)
+        tries = 0
+        while u == P.INF and tries < 50:
+            pts = rng.uniform(0.0, side, size=(n, d))
+            u = P.configuration_energy(spec, pts)
+            tries += 1
+        if u == P.INF:
+            continue
+        for f in (0.85, 0.7, 0.55, 0.4, 0.3, 0.2, 0.12, 0.06, 0.03):
+            center = pts.mean(axis=0)
+            trial = center + (pts - center) * f
+            ut = P.configuration_energy(spec, trial)
+            if ut < u:
+                pts, u = trial, ut
+        for sweep in range(P.DESCENT_SWEEPS):
+            improved = False
+            for i in range(n):
+                for axis in range(d):
+                    for step in steps:
+                        for sgn in (+1.0, -1.0):
+                            trial = pts.copy()
+                            trial[i, axis] += sgn * step
+                            ut = P.configuration_energy(spec, trial)
+                            if ut < u:
+                                pts, u = trial, ut
+                                improved = True
+            total_iters += 1
+            if not improved:
+                break
+        val = -u / n
+        if val > best:
+            best, best_pts = val, pts
+    best = max(best, 0.0)
+    if best == 0.0:
+        best_pts = None
+    return P.StabilityReport(n, best, best_pts, total_iters, seed, budget)
+
+
+# (spec, n, budget, seed) of the step families; the first is the README command
+STEP_DESCENTS = {
+    "readme": (P.square_well(5.0, 1.0, 0.5), 6, 40, 0),
+    "square_well": (P.square_well(2.0, 1.0, 0.25), 4, 10, 3),
+    "square_well_soft_core": (P.square_well(-0.5, 1.0, 0.4), 7, 6, 5),
+    "attractive_well": (P.attractive_well(1.0, 0.5), 6, 8, 3),
+    "attractive_well_n12": (P.attractive_well(0.3, 0.7), 12, 2, 9),
+    "ruelle": (P.ruelle(1.0, 0.5), 8, 3, 1),
+    "ruelle_2d": (P.ruelle(1.0, 0.3, dimension=2), 9, 3, 2),
+    "step_table": (P.step_table((0.37, 0.81, 1.33), (3.3, -0.7, -0.15)), 5, 8, 4),
+    "step_table_1d": (P.step_table((0.5, 1.1), (7.0, -1.3), dimension=1), 6, 6, 7),
+    "hard_core_well": (P.step_table((0.9, 1.2), (math.inf, -1.0)), 5, 6, 11),
+    "bottomless_well": (P.step_table((0.5, 1.0), (math.inf, -math.inf)), 4, 3, 1),
+}
+POWER_LAW_DESCENTS = {
+    "lj_type": (P.lj_type(), 5, 4, 1),
+    "lj_type_attractive_core": (P.lj_type(c1=-1.0, c2=0.0), 4, 2, 0),
+    "lennard_jones": (P.lennard_jones(0.7, 1.2), 4, 3, 6),
+}
+
+
 class TestStabilitySearch:
+    @pytest.mark.parametrize("spec", [P.hard_core(0.8), P.square_well(3.0, 1.2, 0.3), P.ruelle(1.5, 0.2),
+                                      P.step_table((0.37, 0.81, 1.33), (3.3, -0.7, -0.15)),
+                                      P.lj_type(2.0, 0.5, 0.7, 0.9), P.lennard_jones(1.5, 0.8)],
+                             ids=lambda spec: spec.family)
+    def test_batched_pair_values_equal_potential_eval(self, spec):
+        cuts = P._breakpoints(spec)
+        r = sorted({0.0, *cuts, *(math.nextafter(c, 0.0) for c in cuts),
+                    *(math.nextafter(c, math.inf) for c in cuts),
+                    *np.random.default_rng(5).uniform(0.0, 2.0 * max(cuts), 200).tolist()})
+        got = P._pair_value_function(spec)(np.array(r))
+        assert got.tolist() == [P.potential_eval(spec, x) for x in r]
+
     def test_nonnegative_exact_zero(self):
         assert P.stability_estimate(P.hard_core(1.0), 6).estimate == 0.0
 
@@ -110,6 +200,34 @@ class TestStabilitySearch:
         assert rep.estimate >= b * 5 / 2 - 1e-9
         dists = [np.linalg.norm(a - c) for a, c in combinations(np.asarray(rep.witness), 2)]
         assert max(dists) <= 0.5
+
+
+    def test_an_infinite_pair_makes_the_total_infinite(self):
+        # the pairs (0, 1), (0, 2), (1, 2) at 0.55, 0.9, 0.35: -inf, 0, +inf
+        spec = P.step_table((0.5, 0.6), (math.inf, -math.inf), dimension=1)
+        pts = np.array([[0.0], [0.55], [0.9]])
+        rows = P._pair_value_function(spec)(np.array([0.55, 0.9, 0.35]))
+        assert P._sequential_totals(rows) == P.configuration_energy(spec, pts) == math.inf
+
+    @pytest.mark.parametrize("case", STEP_DESCENTS)
+    def test_step_families_follow_the_scalar_descent(self, case):
+        spec, n, budget, seed = STEP_DESCENTS[case]
+        got = P.stability_estimate(spec, n, budget, seed)
+        want = scalar_descent(spec, n, budget, seed)
+        assert (got.estimate, got.iterations) == (want.estimate, want.iterations)
+        assert type(got.estimate) is float
+        assert got.witness.tobytes() == want.witness.tobytes()
+
+    @pytest.mark.parametrize("case", POWER_LAW_DESCENTS)
+    def test_power_laws_follow_the_scalar_descent(self, case):
+        spec, n, budget, seed = POWER_LAW_DESCENTS[case]
+        got = P.stability_estimate(spec, n, budget, seed).estimate
+        want = scalar_descent(spec, n, budget, seed).estimate
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+    def test_readme_command_values(self):
+        rep = P.stability_estimate(*STEP_DESCENTS["readme"])
+        assert (rep.estimate, rep.iterations) == (1.8333333333333333, 87)
 
     def test_witness_recomputes(self):
         spec = P.attractive_well(1.0, 0.5)
@@ -154,6 +272,16 @@ class TestFccWitness:
 
     def test_single_site(self):
         assert P.fcc_witness(0).bond_count == 0
+
+
+    @pytest.mark.parametrize("shells", range(5))
+    def test_bonds_match_a_pairwise_count(self, shells):
+        pts = P.fcc_points(shells)
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        pairs = np.triu(np.abs(dist - 1.0) <= 1e-9, k=1)
+        w = P.fcc_witness(shells)
+        assert (w.n, w.bond_count) == (len(pts), int(pairs.sum()))
+        assert w.points.tobytes() == pts.tobytes()
 
     def test_ratio_monotone_toward_six(self):
         ratios = [P.fcc_witness(s).bond_count / P.fcc_witness(s).n for s in (1, 3, 5, 7)]
@@ -220,6 +348,28 @@ class TestRegularityIntegrals:
         with pytest.raises(P.DivergentTailError):
             P.regularity_integrals(bad, 1.0)
 
+
+    @pytest.mark.parametrize("params", [{}, {"eps": 2.0}, {"c2": 0.1},
+                                        {"c1": 2.0, "c2": 0.5, "eps": 0.7, "a": 0.9}])
+    def test_lj_type_against_its_tail_series(self, params):
+        # beyond a: the integral of (e^(s x) - 1) r^2 with x = beta c2 r^-p, s = +-1, is
+        # sum_k s^(k+1) (beta c2)^k a^(3 - kp) / (k! (kp - 3)); the core is one finite quad
+        from scipy.integrate import quad
+
+        beta = 0.7
+        spec = P.lj_type(**params)
+        p = spec.p
+        a, power = p["a"], 3 + p["eps"]
+        x = beta * p["c2"] * a**-power
+        terms = [x**k / (math.factorial(k) * (k * power - 3)) for k in range(1, 80)]
+        tail_c = a**3 * math.fsum(terms)
+        tail_ct = a**3 * math.fsum(t if k % 2 else -t for k, t in enumerate(terms, start=1))
+        core, _ = quad(lambda r: -math.expm1(-beta * p["c1"] * r**-power) * r * r, 0.0, a,
+                       epsabs=1e-14, epsrel=1e-13, limit=200)
+        ri = P.regularity_integrals(spec, beta)
+        assert ri.c == pytest.approx(4 * math.pi * (core + tail_c), rel=1e-9)
+        assert ri.c_tilde == pytest.approx(4 * math.pi * (core + tail_ct), rel=1e-9)
+
     def test_lj_values_stable_under_tolerance(self):
         r1 = P.regularity_integrals(P.lennard_jones(), 1.0)
         r2 = P.regularity_integrals(P.lennard_jones(), 1.0, abs_tol=1e-10)
@@ -240,6 +390,23 @@ class TestEnvelope:
             assert env == pytest.approx(P.sphere_volume(3, 1.25), rel=1e-14)
 
 
+    def test_attractive_lj_type_core_is_not_integrable(self):
+        assert P.negative_part_envelope_integral(P.lj_type(c1=-1.0, c2=1.0)) == math.inf
+
+    def test_lj_type_tail_closed_form(self):
+        from scipy.integrate import quad
+
+        for spec in (P.lj_type(), P.lj_type(c1=2.0, c2=0.5, eps=0.7, a=0.9),
+                     P.lj_type(c2=3.0, eps=2.0, a=1.5, dimension=2)):
+            p, d = spec.p, spec.dimension
+            power = d + p["eps"]
+            tail, _ = quad(lambda r: p["c2"] * r ** (d - 1 - power), p["a"], np.inf,
+                           epsabs=0.0, epsrel=1e-13)
+            head = p["c2"] * p["a"] ** -power * P.sphere_volume(d, p["a"])
+            env = P.negative_part_envelope_integral(spec)
+            assert env == pytest.approx(head + P.sphere_surface(d) * tail, rel=1e-12)
+
+
 class TestBasuev:
     def test_nonnegative_is_strong(self):
         cls = P.basuev_classify(P.hard_core(1.0), 0.5)
@@ -252,6 +419,12 @@ class TestBasuev:
         assert P.basuev_classify(spec, 0.9 * a_star).verdict == "strongly_basuev"
         weaker = P.basuev_classify(spec, min(3.0 * a_star, 0.99))
         assert weaker.verdict in ("basuev", "not_basuev")
+
+
+    def test_core_radius_needs_a_repulsive_core(self):
+        for c1 in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="repulsive core"):
+                P.strongly_basuev_core_radius(P.lj_type(c1=c1, c2=1.0))
 
     def test_square_well_kissing(self):
         cls = P.basuev_classify(P.square_well(12.0, 1.0, 0.01), 1.0)
