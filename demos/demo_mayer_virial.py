@@ -57,8 +57,7 @@ print("=" * 72)
 wg, vg = M.virial_max_golden()
 wn, vn = M.virial_max_newton()
 print(f"  max over (0, ln 2) of w(2e^-w - 1): {vg:.10f} (golden) vs {vn:.10f} (stationarity)")
-tools = M.VirialTools(beta=1.0, Bbar=0.5, Ctilde=0.3)
-print(f"  virial radius with C~=0.3, Bbar=0.5: {tools.virial_radius:.6f}")
+print(f"  virial radius with C~=0.3, Bbar=0.5: {M.virial_radius(1.0, 0.5, 0.3):.6f}")
 for x in (0.1, 0.3):
     w, partials = M.solve_w(x), M.euler_partial_sums(x, 70)
     print(f"  rooted-tree series at x={x}: 70-term partial sum {partials[-1]:.12f} -> w = {w:.12f}")

@@ -252,11 +252,11 @@ def _cmd_mayer(args) -> int:
                    "ratio": rb.ratio, "log_ratio": rb.log_ratio}
         _emit(args, payload)
         return 0
-    tools = mayer.VirialTools(args.beta, args.Bbar or 0.0, args.Ctilde)
+    radius = mayer.virial_radius(args.beta, args.Bbar or 0.0, args.Ctilde)
     w, val = mayer.virial_max_golden()
     payload = {"command": "mayer", "action": "virial", "beta": args.beta,
                "Bbar": args.Bbar or 0.0, "Ctilde": args.Ctilde,
-               "virial_radius": tools.virial_radius, "max_w": w, "max_value": val}
+               "virial_radius": radius, "max_w": w, "max_value": val}
     _emit(args, payload)
     return 0
 

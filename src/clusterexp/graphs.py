@@ -152,11 +152,8 @@ def _mask_connected(n: int, mask: int, adj: Sequence[int] | None = None) -> bool
     full = (1 << n) - 1
     while frontier:
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
+        for v in mask_bits(frontier):
+            nxt |= adj[v]
         frontier = nxt & ~seen
         seen |= frontier
         if seen == full:
@@ -264,13 +261,10 @@ class RootedTree:
         for v in order:
             nbrs = adj[v] & ~seen
             seen |= nbrs
-            while nbrs:
-                low = nbrs & -nbrs
-                w = low.bit_length() - 1
+            for w in mask_bits(nbrs):
                 parent[w] = v
                 depth[w] = depth[v] + 1
                 order.append(w)
-                nbrs ^= low
         if len(order) != n:
             raise ValueError("edge set is not connected, hence not a tree")
         self.parent = tuple(parent)

@@ -161,11 +161,14 @@ def even_subgraph_size_counts(L: int) -> tuple[int, ...]:
 def high_T_polymer_Z(L: int, beta: float) -> tuple[float, float]:
     """(Xi, Z) from the even-subgraph expansion with free boundary:
     Xi = sum over even subsets of tanh(beta)^(edges) and
-    Z = cosh(beta)^(2L(L-1)) 2^(L^2) Xi."""
+    Z = cosh(beta)^(2L(L-1)) 2^(L^2) Xi (inf past the largest float)."""
     counts = even_subgraph_size_counts(L)
     t = math.tanh(beta)
     xi = math.fsum(c * t**m for m, c in enumerate(counts) if c)
-    z = math.cosh(beta) ** (2 * L * (L - 1)) * 2.0 ** (L * L) * xi
+    try:
+        z = math.cosh(beta) ** (2 * L * (L - 1)) * 2.0 ** (L * L) * xi
+    except OverflowError:  # cosh(beta)^(2L(L-1)) is past the largest float
+        z = math.inf
     return xi, z
 
 
@@ -337,9 +340,8 @@ def duality_check(L: int, beta: float) -> DualityReport:
     0.5 and 1.0.
     """
     counts = even_subgraph_size_counts(L)
-    t = math.tanh(beta)
     u = math.exp(-2.0 * dual_coupling(beta))
-    xi_high = math.fsum(c * t**m for m, c in enumerate(counts) if c)
+    xi_high, _ = high_T_polymer_Z(L, beta)
     xi_low = math.fsum(c * u**m for m, c in enumerate(counts) if c)
     probes = (0.2, 0.5, 1.0)
     ident = max(abs(math.exp(-2.0 * dual_coupling(b)) - math.tanh(b)) for b in probes)

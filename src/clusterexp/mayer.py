@@ -329,38 +329,14 @@ def ks_recursion(M_max: int, beta: float, B: float, C: float) -> dict[tuple[int,
 
 
 def solve_w(x: float) -> float:
-    """First solution in [0, 1] of w e^(-w) = x, for 0 <= x <= 1/e.
-
-    Newton from w = x (below the root on this branch, at most 50 steps, until
-    a step moves w by less than 1e-12) with bisection fallback.
-    """
+    """First solution in [0, 1] of w e^(-w) = x, for 0 <= x <= 1/e, by
+    ``bisect_root``; 1.0 where w e^(-w) - x <= 0 already at w = 1 (the
+    branch point x = 1/e and the float slack just past it)."""
     if x < 0 or x > 1.0 / math.e + 1e-15:
         raise ValueError("out of branch: need 0 <= x <= 1/e")
-    if x == 0:
-        return 0.0
-    w = x
-    for _ in range(50):
-        f = w * math.exp(-w) - x
-        df = math.exp(-w) * (1.0 - w)
-        if df <= 0:
-            break
-        w_new = w - f / df
-        if not 0.0 <= w_new <= 1.0:
-            break
-        if abs(w_new - w) < 1e-12:
-            return w_new
-        w = w_new
-    # bisection fallback on [0, 1]
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(-mid) < x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    if math.exp(-1.0) - x <= 0.0:
+        return 1.0
+    return bisect_root(lambda w: w * math.exp(-w) - x, 0.0, 1.0)
 
 
 def euler_partial_sums(x: float, n_terms: int) -> list[float]:
@@ -438,21 +414,8 @@ def virial_max_newton() -> tuple[float, float]:
     return w, virial_objective(w)
 
 
-@dataclass
-class VirialTools:
-    """Virial-radius machinery for given beta, Bbar and Ctilde."""
-
-    beta: float
-    Bbar: float
-    Ctilde: float
-
-    def w_from_activity(self, lam: float) -> float:
-        """Invert w e^(-w) = Ctilde e^(beta Bbar) |lam| on the [0, 1] branch."""
-        return solve_w(self.Ctilde * math.exp(self.beta * self.Bbar) * abs(lam))
-
-    @property
-    def virial_radius(self) -> float:
-        """The published lower bound 0.14477 / (Ctilde e^(beta Bbar))."""
-        if self.Ctilde <= 0:
-            raise ValueError("need Ctilde > 0")
-        return VIRIAL_NUMERATOR / (self.Ctilde * math.exp(self.beta * self.Bbar))
+def virial_radius(beta: float, Bbar: float, Ctilde: float) -> float:
+    """The published lower bound 0.14477 / (Ctilde e^(beta Bbar))."""
+    if Ctilde <= 0:
+        raise ValueError("need Ctilde > 0")
+    return VIRIAL_NUMERATOR / (Ctilde * math.exp(beta * Bbar))

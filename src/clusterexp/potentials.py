@@ -239,13 +239,24 @@ def potential_eval(spec: PairPotentialSpec, r: float) -> float:
 
 
 def is_nonnegative(spec: PairPotentialSpec) -> bool:
+    """V >= 0 everywhere: for ``lj_type`` a repulsive core (c1 >= 0) and a
+    tail -c2 r^-(d+eps) that is not attractive (c2 <= 0)."""
     steps = spec.steps
     if steps is not None:
         return all(v >= 0 for v in steps[1])
     p = spec.p
     if spec.family == "lj_type":
-        return p["c1"] >= 0 and p["c2"] == 0
+        return p["c1"] >= 0 and p["c2"] <= 0
     return p["epsilon"] == 0
+
+
+def _unbounded_below(spec: PairPotentialSpec) -> bool:
+    """V -> -inf at the origin: an attractive power-law core (``lj_type``
+    with c1 < 0, ``lennard_jones`` with epsilon < 0)."""
+    if spec.steps is not None:
+        return False
+    p = spec.p
+    return (p["c1"] if spec.family == "lj_type" else p["epsilon"]) < 0
 
 
 def length_scale(spec: PairPotentialSpec) -> float:
@@ -266,14 +277,14 @@ def _breakpoints(spec: PairPotentialSpec) -> list[float]:
 
 
 def _tail(spec: PairPotentialSpec) -> tuple[float, float] | None:
-    """(decay power, coefficient) of |V| ~ coeff * r^-power, or None if the
-    potential vanishes beyond the last breakpoint."""
+    """(decay power, coefficient) of |V| ~ coeff * r^-power, coeff >= 0, or
+    None if the potential vanishes beyond the last breakpoint."""
     if spec.steps is not None:
         return None
     p = spec.p
     if spec.family == "lj_type":
-        return (spec.dimension + p["eps"], p["c2"])
-    return (6.0, 2.0 * p["epsilon"] * p["sigma"] ** 6)
+        return (spec.dimension + p["eps"], abs(p["c2"]))
+    return (6.0, 2.0 * abs(p["epsilon"]) * p["sigma"] ** 6)
 
 
 def sphere_surface(d: int) -> float:
@@ -528,28 +539,28 @@ class RuelleDivergence:
 
 
 def ruelle_divergence_witness(lam: float, beta: float, n_fixed: int | None = None,
-                              s_max: int = 200, eps: float | None = None,
-                              delta: float = 0.5, max_shells: int = 14) -> RuelleDivergence:
+                              s_max: int = 200, eps: float | None = None) -> RuelleDivergence:
     """Consecutive ratios of the divergent minorant of the step-potential
     partition function.
 
     The s-th term is a_s = [lam V_delta e^(11 beta / 2)]^(s n) / (s n)! times
     e^(beta eps s^2), evaluated in log space; V_delta is the volume of the
-    ball of radius delta/2.  With eps > 0 the ratios eventually grow without
-    bound; with eps = 0 the factorial wins and they decay to zero.
+    ball of radius delta/2 at delta = 0.5.  With eps > 0 the ratios
+    eventually grow without bound; with eps = 0 the factorial wins and they
+    decay to zero.
 
     If ``eps`` (and ``n_fixed``) are omitted they are derived from the
-    close-packed sweep; failure to certify raises.
+    close-packed sweep to 14 shells; failure to certify raises.
     """
     if eps is None or n_fixed is None:
-        n_cert, eps_cert = ruelle_certificate(max_shells)
+        n_cert, eps_cert = ruelle_certificate()
         n_fixed = n_cert if n_fixed is None else n_fixed
         eps = eps_cert if eps is None else eps
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if lam <= 0 or beta <= 0 or n_fixed < 1 or s_max < 4:
         raise ValueError("need lam > 0, beta > 0, n >= 1, s_max >= 4 (three ratios)")
-    v_delta = sphere_volume(3, delta / 2.0)
+    v_delta = sphere_volume(3, 0.25)
     base = math.log(lam * v_delta) + 11.0 * beta / 2.0
     log_terms = []
     for s in range(1, s_max + 1):
@@ -586,6 +597,8 @@ def regularity_integrals(spec: PairPotentialSpec, beta: float,
     adaptive quadrature.
 
     c_tilde <= c always, with equality exactly for nonnegative potentials.
+    c is +inf where V is unbounded below at the origin (e^(-beta V) is not
+    integrable there); any other overflow of e^(-beta V) is a ValueError.
     Raises DivergentTailError when the tail is not absolutely integrable.
     """
     d = spec.dimension
@@ -636,7 +649,14 @@ def regularity_integrals(spec: PairPotentialSpec, beta: float,
         base = 1.0 if v == INF else -math.expm1(-abs(v))
         return base * r ** (d - 1)
 
-    c = surf * integrate(f_c)
+    if _unbounded_below(spec):
+        c = INF
+    else:
+        try:
+            c = surf * integrate(f_c)
+        except OverflowError:
+            raise ValueError(f"a Boltzmann factor overflows a float in the regularity integrals "
+                             f"at beta = {beta!r}") from None
     ct = surf * integrate(f_ct)
     return RegularityIntegrals(c=c, c_tilde=min(ct, c), beta=beta, dimension=d)
 
@@ -667,6 +687,8 @@ def negative_part_envelope_integral(spec: PairPotentialSpec) -> float:
     d = spec.dimension
     if is_nonnegative(spec):
         return 0.0
+    if _unbounded_below(spec):
+        return INF  # an attractive power-law core is not integrable at 0
     if spec.steps is not None:
         # envelope on bin k: the greatest depth at radii >= radii[k]
         radii, values = spec.steps
@@ -682,8 +704,6 @@ def negative_part_envelope_integral(spec: PairPotentialSpec) -> float:
     surf = sphere_surface(d)
     p = spec.p
     if spec.family == "lj_type":
-        if p["c1"] < 0:
-            return INF  # an attractive core -c1 r^-(d+eps) is not integrable at 0
         a0, c2, eps = p["a"], p["c2"], p["eps"]
         head = c2 / a0 ** (d + eps) * sphere_volume(d, a0)
         return head + surf * c2 * a0**-eps / eps  # the tail integral of c2 r^-(d+eps) r^(d-1)
@@ -752,8 +772,8 @@ def strongly_basuev_core_radius(spec: PairPotentialSpec) -> float:
         raise ValueError("the core radius needs a repulsive core, c1 > 0")
     d = spec.dimension
     c_d = (4 * d) ** (d / 2) * negative_part_envelope_integral(spec)
-    # c1 a^-(d+eps) = 2 c_d / a^d  =>  a = (c1 / (2 c_d))^(1/eps)
-    a_star = (p["c1"] / (2.0 * c_d)) ** (1.0 / p["eps"])
+    # c1 a^-(d+eps) = 2 c_d / a^d  =>  a = (c1 / (2 c_d))^(1/eps); no crossing if c_d = 0
+    a_star = (p["c1"] / (2.0 * c_d)) ** (1.0 / p["eps"]) if c_d else INF
     return min(a_star, p["a"])
 
 

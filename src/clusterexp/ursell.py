@@ -168,12 +168,10 @@ def _gibbs_subsets(V: InteractionMatrix):
         t = low.bit_length() - 1
         rest = mask ^ low
         acc = out[rest]
-        r = rest
-        while r and acc:
-            lo = r & -r
-            j = lo.bit_length() - 1
+        for j in mask_bits(rest):
+            if not acc:
+                break
             acc = acc * gibbs_pair[pidx[(t, j)]]
-            r ^= lo
         out[mask] = acc if rest else (1 if hard else 1.0)
     return out
 

@@ -86,6 +86,14 @@ class TestPotentialsCommand:
                          "--beta", "0.7"])
         assert code == 0 and capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("params", [["c1=-1", "c2=1"], ["c1=1", "c2=-1", "eps=2"]],
+                             ids=["attractive-core", "repulsive-tail"])
+    def test_lj_type_integrals_of_either_sign(self, capsys, params):
+        code, data = run_json(capsys, ["potentials", "integrals", "--family", "lj_type",
+                                       "--params", *params, "--beta", "0.7"])
+        assert code == 0 and 0 < data["c_tilde"] < math.inf
+        assert data["c"] == ("inf" if params[0] == "c1=-1" else data["c_tilde"])
+
     @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
     @pytest.mark.parametrize("family", list(FAMILY_PARAMS))
     def test_every_route_builds_the_constructor_spec(self, capsys, tmp_path, family, explicit):
@@ -298,6 +306,8 @@ class TestHarness:
          "a must be a positive finite length"),
         (["potentials", "eval", "--family", "square_well", "--params", "A=nan"],
          "A must be a number"),
+        (["potentials", "integrals", "--family", "lj_type", "--params", "c2=5", "eps=3", "a=0.5",
+          "--beta", "3"], "overflows a float"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)

@@ -181,6 +181,18 @@ class TestDuality:
         with pytest.raises(ValueError):
             I.dual_coupling(0.0)
 
+    def test_xi_high_is_the_high_temperature_sum(self):
+        rep = I.duality_check(4, 0.3)
+        assert rep.xi_high == I.high_T_polymer_Z(4, 0.3)[0]
+
+    def test_large_beta_past_the_float_range_of_z(self):
+        # cosh(13)^60 is past the largest float; Xi and the duality are not
+        xi, z = I.high_T_polymer_Z(6, 13.0)
+        assert z == math.inf and xi == pytest.approx(2.0 ** 25, rel=1e-8)
+        rep = I.duality_check(6, 13.0)
+        assert rep.xi_high == xi
+        assert rep.xi_low_at_dual == pytest.approx(xi, rel=1e-12)
+
 
 class TestMagnetization:
     def test_free_boundary_exactly_zero(self):

@@ -332,11 +332,31 @@ class TestVirialTools:
         assert round(vg, 5) == 0.14477
 
     def test_radius_formula(self):
-        tools = M.VirialTools(1.0, 0.5, 0.3)
-        assert tools.virial_radius == pytest.approx(0.14477 / (0.3 * math.exp(0.5)), rel=1e-14)
-        assert tools.w_from_activity(0.1) == pytest.approx(
-            M.solve_w(0.3 * math.exp(0.5) * 0.1), abs=1e-14
-        )
+        assert M.virial_radius(1.0, 0.5, 0.3) == pytest.approx(
+            0.14477 / (0.3 * math.exp(0.5)), rel=1e-14)
+
+    def test_radius_refuses_a_nonpositive_ctilde(self):
+        assert M.virial_radius(2.0, 0.0, 1.0) == 0.14477
+        for ctilde in (0.0, -0.3):
+            with pytest.raises(ValueError, match="Ctilde > 0"):
+                M.virial_radius(1.0, 0.5, ctilde)
+
+    def test_branch_edges(self):
+        assert M.solve_w(0.0) == 0.0
+        assert M.solve_w(1 / math.e) == 1.0
+        assert M.solve_w(1 / math.e + 1e-15) == 1.0
+        with pytest.raises(ValueError, match="branch"):
+            M.solve_w(-1e-300)
+
+    def test_inversion_is_within_one_float_of_a_sign_change(self):
+        for x in (1e-300, 1e-9, 0.01, 0.2, 0.3678):
+            def f(w):
+                return w * math.exp(-w) - x
+
+            w = M.solve_w(x)
+            assert 0.0 < w < 1.0
+            below, above = math.nextafter(w, 0.0), math.nextafter(w, 1.0)
+            assert f(below) <= 0.0 <= f(w) or f(w) <= 0.0 <= f(above)
 
 
 class TestBisectRoot:

@@ -188,6 +188,20 @@ class TestStabilitySearch:
     def test_nonnegative_exact_zero(self):
         assert P.stability_estimate(P.hard_core(1.0), 6).estimate == 0.0
 
+    def test_repulsive_lj_type_tail_is_exact_zero(self):
+        rep = P.stability_estimate(P.lj_type(c1=1.0, c2=-1.0), 4)
+        assert rep.estimate == 0.0 and rep.iterations == 0
+
+    @pytest.mark.parametrize("c1,c2,nonnegative", [
+        (1.0, 0.0, True), (1.0, -1.0, True), (0.0, -2.0, True), (0.0, 0.0, True),
+        (1.0, 1.0, False), (-1.0, 0.0, False), (-1.0, -1.0, False),
+    ])
+    def test_lj_type_nonnegativity(self, c1, c2, nonnegative):
+        spec = P.lj_type(c1=c1, c2=c2)
+        assert P.is_nonnegative(spec) is nonnegative
+        r = np.linspace(0.05, 3.0, 60).tolist()
+        assert (min(P.potential_eval(spec, x) for x in r) >= 0) is nonnegative
+
     def test_negative_lj_type_core_is_unstable(self):
         spec = P.lj_type(c1=-1.0, c2=0.0)
         assert P.potential_eval(spec, 0.5) == -16.0
@@ -370,6 +384,34 @@ class TestRegularityIntegrals:
         assert ri.c == pytest.approx(4 * math.pi * (core + tail_c), rel=1e-9)
         assert ri.c_tilde == pytest.approx(4 * math.pi * (core + tail_ct), rel=1e-9)
 
+    def test_tail_coefficient_is_a_magnitude(self):
+        assert P._tail(P.lj_type(c1=1.0, c2=-1.0, eps=2.0)) == (5.0, 1.0)
+        assert P._tail(P.lj_type(c2=0.5, eps=0.7)) == (3.7, 0.5)
+        assert P._tail(P.lennard_jones(epsilon=-1.0, sigma=2.0)) == (6.0, 128.0)
+        assert P._tail(P.lennard_jones(epsilon=1.0, sigma=2.0)) == (6.0, 128.0)
+        assert P._tail(P.square_well()) is None
+
+    def test_nonnegative_lj_type_has_equal_integrals(self):
+        # |V| is the same with either sign of the tail, and c = c_tilde when V >= 0
+        ri = P.regularity_integrals(P.lj_type(c1=1.0, c2=-1.0, eps=2.0), 0.7)
+        mirror = P.regularity_integrals(P.lj_type(c1=1.0, c2=1.0, eps=2.0), 0.7)
+        assert ri.c == ri.c_tilde == mirror.c_tilde
+        assert mirror.c_tilde < mirror.c
+
+    @pytest.mark.parametrize("spec,mirror", [
+        (P.lj_type(c1=-1.0, c2=1.0), P.lj_type(c1=1.0, c2=1.0)),
+        (P.lennard_jones(epsilon=-1.0), P.lennard_jones(epsilon=1.0)),
+    ], ids=["lj_type", "lennard_jones"])
+    def test_core_unbounded_below_has_infinite_c(self, spec, mirror):
+        ri = P.regularity_integrals(spec, 0.7)
+        assert ri.c == INF
+        assert ri.c_tilde == P.regularity_integrals(mirror, 0.7).c_tilde
+        assert math.isfinite(ri.c_tilde) and ri.c_tilde > 0
+
+    def test_overflowing_boltzmann_factor_is_refused(self):
+        with pytest.raises(ValueError, match="overflows a float in the regularity integrals"):
+            P.regularity_integrals(P.lj_type(c2=5.0, eps=3.0, a=0.5), 3.0)
+
     def test_lj_values_stable_under_tolerance(self):
         r1 = P.regularity_integrals(P.lennard_jones(), 1.0)
         r2 = P.regularity_integrals(P.lennard_jones(), 1.0, abs_tol=1e-10)
@@ -392,6 +434,12 @@ class TestEnvelope:
 
     def test_attractive_lj_type_core_is_not_integrable(self):
         assert P.negative_part_envelope_integral(P.lj_type(c1=-1.0, c2=1.0)) == math.inf
+
+    def test_attractive_lennard_jones_core_is_not_integrable(self):
+        assert P.negative_part_envelope_integral(P.lennard_jones(epsilon=-1.0)) == math.inf
+
+    def test_repulsive_lj_type_tail_has_no_negative_part(self):
+        assert P.negative_part_envelope_integral(P.lj_type(c1=1.0, c2=-1.0)) == 0.0
 
     def test_lj_type_tail_closed_form(self):
         from scipy.integrate import quad
@@ -420,6 +468,12 @@ class TestBasuev:
         weaker = P.basuev_classify(spec, min(3.0 * a_star, 0.99))
         assert weaker.verdict in ("basuev", "not_basuev")
 
+
+    def test_nonnegative_lj_type_classifies_with_mu_zero(self):
+        spec = P.lj_type(c1=1.0, c2=-1.0)
+        cls = P.basuev_classify(spec, 0.5)
+        assert cls.verdict == "strongly_basuev" and cls.mu_hat == 0.0
+        assert P.strongly_basuev_core_radius(spec) == 1.0  # no crossing: the whole core
 
     def test_core_radius_needs_a_repulsive_core(self):
         for c1 in (-1.0, 0.0):
