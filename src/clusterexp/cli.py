@@ -326,6 +326,14 @@ def _cmd_ising(args) -> int:
     if args.action == "z":
         rows = []
         for beta in args.beta:
+            # refused before any sweep: the all-aligned (all-opposite for beta < 0)
+            # + boundary term of Z alone weighs up to e^(|beta| 2L(L+1))
+            try:
+                math.exp(abs(beta) * 2 * args.L * (args.L + 1))
+            except OverflowError:
+                raise ValueError(f"Z is past the largest float at L = {args.L}, beta = {beta}: "
+                                 "e^(|beta| 2L(L+1)) overflows") from None
+        for beta in args.beta:
             zb = ising.brute_force_Z(args.L, beta, boundary=args.boundary)
             xi_h, z_h = ising.high_T_polymer_Z(args.L, beta)
             low = ising.low_T_contour_Z(args.L, beta)

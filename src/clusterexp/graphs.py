@@ -586,36 +586,26 @@ def kruskal_added(order: EdgeOrder, rows: slice = slice(None)) -> np.ndarray:
     """Closure-minus-tree pairs under ``order`` for ``tree_table(n)[rows]``:
     a pair is added when its rank is above every rank on its tree path.
 
-    The path maximum of every (tree, pair) cell is found at once by climbing
-    both endpoints towards their common ancestor, the deeper one first.
+    One sweep over the pairs in ascending rank, all rows at once.  Each
+    vertex holds, as an n-bit set, its component in the forest of the tree
+    edges swept so far.  A pair is added exactly when its ends already share
+    a component, since the tree path joining them then ranks below it; a
+    tree edge merges the components of its ends.
     """
     n = order.n
-    t = tree_table(n)
-    parent, depth = t.parent[rows], t.depth[rows]
-    m = len(parent)
-    rank = np.asarray(order.ranks, dtype=np.int8)
+    mask = tree_table(n).mask[rows]
     i, j = pair_ends(n)
-    # rank of the edge from each vertex to its parent; the last column, which
-    # a root's parent -1 selects, holds -1
-    by_ends = np.full((n, n + 1), -1, dtype=np.int8)
-    by_ends[i, j] = by_ends[j, i] = rank
-    up_rank = by_ends[np.arange(n), parent].ravel()
-    up, dep = parent.ravel(), depth.ravel()
-    flat = (np.arange(m) * n)[:, None]
-    a, b = i + flat, j + flat
-    top = np.full((m, len(i)), -1, dtype=np.int8)
-    for _ in range(n - 1):
-        da, db = dep[a], dep[b]
-        apart = a != b
-        if not apart.any():
-            break
-        climb_a = apart & (da >= db)
-        climb_b = apart & (db >= da)
-        np.maximum(top, np.where(climb_a, up_rank[a], -1), out=top)
-        np.maximum(top, np.where(climb_b, up_rank[b], -1), out=top)
-        a = np.where(climb_a, up[a] + flat, a)
-        b = np.where(climb_b, up[b] + flat, b)
-    return rank > top
+    added = np.empty((len(mask), len(i)), dtype=bool)
+    bitset = np.min_scalar_type((1 << n) - 1)
+    bit = np.left_shift(1, np.arange(n, dtype=bitset))[:, None]
+    comp = np.repeat(bit, len(mask), axis=1)
+    for k in np.argsort(order.ranks).tolist():
+        a, b = i[k], j[k]
+        np.not_equal(comp[a] & bit[b], 0, out=added[:, k])
+        # zero outside the trees holding this edge, so only those merge
+        union = (comp[a] | comp[b]) * (mask >> k & 1).astype(bitset)
+        np.copyto(comp, union, where=(union & bit) != 0)
+    return added
 
 
 @dataclass

@@ -296,12 +296,16 @@ def low_T_contour_Z(L: int, beta: float) -> ContourReport:
     density of states, verifies the energy identity H = -Btilde + 2 B-
     with Btilde = 2L(L+1) on the geometric contours of the configurations
     (all for L <= 3, sampled beyond; checked once per L); the reconstruction
-    e^(beta Btilde) Xi equals the brute-force + boundary sum.
+    e^(beta Btilde) Xi equals the brute-force + boundary sum (inf past the
+    largest float).
     """
     btilde = 2 * L * (L + 1)
     N, _ = _density_of_states(L, "plus")
     xi = math.fsum((N * np.exp(-2.0 * beta * np.arange(N.size))).tolist())
-    z = math.exp(beta * btilde) * xi
+    try:
+        z = math.exp(beta * btilde) * xi
+    except OverflowError:  # e^(beta Btilde) is past the largest float
+        z = math.inf
     identity_ok, min_size = _contour_energy_identity(L)
     return ContourReport(xi, z, btilde, identity_ok, min_size)
 

@@ -16,19 +16,20 @@ from the depth rule (``penrose_added``) or from the edge order of the matrix
 values (``kruskal_added``).
 
 Matrices whose values are all 0 or +inf ("hard core") are evaluated in exact
-integer arithmetic, so the identities can be checked bit for bit.
+integer arithmetic, so the identities can be checked bit for bit.  The float
+routes add their terms with ``exact_fsum``, the value of ``math.fsum`` from
+vectorised integer limbs.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Callable, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .graphs import (
-    MASK_CHUNK,
     CapExceededError,
     EdgeOrder,
     connected_masks,
@@ -46,6 +47,12 @@ from .graphs import (
 INF = math.inf
 
 PARTITION_CAP = 10  # Bell(10) = 115975 partitions
+
+LIMB_BITS = 31  # bits per fixed-point limb of exact_fsum
+SUM_PIECE = 1 << 15  # floats per exact_fsum step: 256 KiB stays in cache, and
+# no limb sum can reach 2^53 below 2^(53 - LIMB_BITS) = 2^22 floats
+TOP_EXP = 960  # fewer than 2^60 floats below 2^960 cannot add up near the float range
+FSUM_BELOW = 512  # values below which math.fsum beats the limbs' numpy calls
 
 
 class StabilityCertificateError(ValueError):
@@ -148,10 +155,75 @@ def ursell_graph_sum(V: InteractionMatrix):
     prods[0] = 1
     for k, wk in enumerate(w):
         np.multiply(prods[:1 << k], wk, out=prods[1 << k:2 << k])
-    chunks = (prods[masks[lo:lo + MASK_CHUNK]] for lo in range(0, len(masks), MASK_CHUNK))
     if hard:
-        return sum(int(c.sum(dtype=np.int64)) for c in chunks)
-    return math.fsum(chain.from_iterable(c.tolist() for c in chunks))
+        return int(prods[masks].sum(dtype=np.int64))
+    return exact_fsum(lambda: (prods[masks[lo:lo + SUM_PIECE]]
+                               for lo in range(0, len(masks), SUM_PIECE)))
+
+
+def _piece_limbs(x: np.ndarray) -> tuple[int, int] | None:
+    """(acc, exp) with sum(x) = acc * 2^exp exactly, for at most SUM_PIECE
+    floats; None when a value is an inf or a NaN, too close to the float
+    range, or too small to scale exactly.
+
+    x is scaled by a power of two until its largest value lies below
+    2^LIMB_BITS, then split into limbs: the integer part of the scaled values
+    (truncated, so the signed remainder is exact) is one limb, whose float
+    sum is exact, and the remainder times 2^LIMB_BITS gives the next, until
+    the lowest set bit of every value is reached.
+    """
+    a = np.abs(x)
+    top = float(a.max())
+    if not top < INF:  # an inf or a NaN
+        return None
+    if top == 0.0:
+        return 0, 0
+    low = float(a.min())
+    if low == 0.0:
+        low = float(a.min(where=a > 0, initial=INF))
+    e = math.frexp(top)[1]
+    # scaling down by 2^(e - LIMB_BITS) is exact while the smallest value stays normal
+    if e > TOP_EXP or (e > LIMB_BITS and low < math.ldexp(1.0, e - LIMB_BITS - 1022)):
+        return None
+    # every value is a multiple of 2^(e_low - 53), reached after `limbs` limbs
+    limbs = -(-(e - math.frexp(low)[1] + 53) // LIMB_BITS)
+    frac = np.ldexp(x, LIMB_BITS - e)
+    whole = np.empty_like(frac)
+    acc = 0
+    for k in range(limbs):
+        if k:
+            frac -= whole
+            frac *= 1 << LIMB_BITS
+        np.trunc(frac, out=whole)
+        acc = (acc << LIMB_BITS) + int(whole.sum())
+    return acc, e - LIMB_BITS * limbs
+
+
+def exact_fsum(chunks: Callable[[], Iterable[np.ndarray]]) -> float:
+    """``math.fsum`` over the values of the float64 arrays that ``chunks()``
+    yields, from integer limbs.
+
+    The pieces' exact sums meet in one Python int over a power of two, and
+    int / int is correctly rounded.  ``math.fsum`` itself adds a single chunk
+    of fewer than FSUM_BELOW values, where the fixed cost of the numpy calls
+    would dominate.  When a piece cannot be split into limbs, ``chunks()`` is
+    called again and ``math.fsum`` adds it all, with its values and errors.
+    """
+    parts = iter(chunks())
+    head = list(islice(parts, 2))
+    if len(head) < 2 and sum(map(len, head)) < FSUM_BELOW:
+        return math.fsum(chain.from_iterable(c.tolist() for c in head))
+    total, base = 0, 0
+    for c in chain(head, parts):
+        for lo in range(0, len(c), SUM_PIECE):
+            piece = _piece_limbs(c[lo:lo + SUM_PIECE])
+            if piece is None:
+                return math.fsum(chain.from_iterable(c.tolist() for c in chunks()))
+            acc, exp = piece
+            if exp < base:
+                total, base = total << (base - exp), exp
+            total += acc << (exp - base)
+    return total / (1 << -base) if base < 0 else float(total << base)
 
 
 def _gibbs_subsets(V: InteractionMatrix):
@@ -266,13 +338,13 @@ def _tree_sum(V: InteractionMatrix, added: Callable[[slice], np.ndarray]):
     finite = np.where(forbidden, 0.0, vals)
     w = np.array(V.mayer_weights(), dtype=np.float64)
 
-    def terms(rows: slice) -> list[float]:
+    def terms(rows: slice) -> np.ndarray:
         extra = added(rows)
         term = w[t.pairs[rows]].prod(axis=1) * np.exp(-(extra @ finite))
         term[(extra & forbidden).any(axis=1)] = 0.0
-        return term.tolist()
+        return term
 
-    return math.fsum(chain.from_iterable(terms(rows) for rows in t.chunks()))
+    return exact_fsum(lambda: map(terms, t.chunks()))
 
 
 def check_stability_vector(V: InteractionMatrix, B: Sequence[float]) -> None:
@@ -306,8 +378,8 @@ def tree_graph_bound(V: InteractionMatrix, B: Sequence[float]) -> float:
     check_stability_vector(V, B)
     factors = np.array([1.0 if v == INF else -math.expm1(-abs(v)) for v in V.pair_values])
     t = tree_table(V.n)
-    prods = (factors[t.pairs[rows]].prod(axis=1).tolist() for rows in t.chunks())
-    return math.exp(math.fsum(B)) * math.fsum(chain.from_iterable(prods))
+    total = exact_fsum(lambda: (factors[t.pairs[rows]].prod(axis=1) for rows in t.chunks()))
+    return math.exp(math.fsum(B)) * total
 
 
 # ---------------------------------------------------------------------------

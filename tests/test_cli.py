@@ -312,6 +312,15 @@ class TestHarness:
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
 
+    @pytest.mark.parametrize("argv", [
+        ["--L", "4", "--beta", "30"],
+        ["--L", "3", "--beta", "60"],
+        ["--L", "5", "--beta", "18.5"],
+        ["--L", "4", "--beta", "0.3", "-30"],
+    ])
+    def test_ising_z_past_the_float_range_is_refused(self, capsys, argv):
+        assert_usage_error(capsys, ["ising", "z"] + argv, "Z is past the largest float")
+
     def test_commands_without_quadrature_do_not_import_scipy(self):
         script = ("import sys\n"
                   "from clusterexp import cli\n"

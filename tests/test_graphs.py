@@ -162,7 +162,7 @@ class TestTreeTable:
         expect = [pair_flags(n, G.penrose_closure(r).mask ^ r.mask) for r in prufer_trees(n)]
         assert added.tolist() == expect
 
-    @pytest.mark.parametrize("n,orders", [(2, 2), (3, 4), (4, 4), (5, 4), (6, 3), (7, 2)])
+    @pytest.mark.parametrize("n,orders", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 4), (6, 3), (7, 2)])
     def test_kruskal_added_matches_closure(self, n, orders):
         rng = random.Random(700 + n)
         ref = prufer_trees(n)
@@ -174,6 +174,20 @@ class TestTreeTable:
         order = random_order(6, random.Random(6))
         full = G.kruskal_added(order)
         assert np.array_equal(G.kruskal_added(order, slice(100, 700)), full[100:700])
+        order = random_order(7, random.Random(7))
+        full = G.kruskal_added(order)
+        assert np.array_equal(G.kruskal_added(order, slice(5000, 12001)), full[5000:12001])
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_kruskal_added_hard_core_ties(self, n):
+        # two values only, so the order is mostly the lexicographic tie-break
+        rng = random.Random(1600 + n)
+        ref = prufer_trees(n)
+        for p_inf in (0.3, 0.7):
+            w = {p: math.inf if rng.random() < p_inf else 0.0 for p in G.vertex_pairs(n)}
+            order = G.EdgeOrder.from_weights(n, w)
+            expect = [pair_flags(n, G.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
+            assert G.kruskal_added(order).tolist() == expect
 
     def test_cap_and_size(self):
         with pytest.raises(G.CapExceededError, match="cap is 9"):

@@ -193,6 +193,11 @@ class TestDuality:
         assert rep.xi_high == xi
         assert rep.xi_low_at_dual == pytest.approx(xi, rel=1e-12)
 
+    def test_low_temperature_z_past_the_float_range(self):
+        # e^(30 * 40) is past the largest float; the contour sum Xi is not
+        rep = I.low_T_contour_Z(4, 30.0)
+        assert rep.z_reconstructed == math.inf and rep.xi_contour == 1.0
+
 
 class TestMagnetization:
     def test_free_boundary_exactly_zero(self):

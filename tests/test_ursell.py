@@ -3,13 +3,16 @@ import random
 from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from clusterexp import graphs as G
 from clusterexp.ursell import (
     INF,
+    SUM_PIECE,
     InteractionMatrix,
     StabilityCertificateError,
+    exact_fsum,
     penrose_exponent_minimum,
     tree_family_counts,
     tree_graph_bound,
@@ -303,6 +306,94 @@ class TestTreeTableRoutes:
                           G.mask_bits(G.penrose_closure(t).mask ^ t.mask) if W.pair_values[k] != INF)
                 for t in trees]
         assert penrose_exponent_minimum(W) == pytest.approx(min(sums), rel=1e-12, abs=1e-12)
+
+
+def fsum_outcome(f):
+    """repr of the sum, or the type of the error it raised."""
+    try:
+        return repr(f())
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+TINY = 5e-324
+MAX = 1.7976931348622157e308
+
+
+class TestExactFsum:
+    @pytest.mark.parametrize("xs", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-2.5],
+        [1e16, 1.0, -1e16], [1e100, 1.0, -1e100, 1e-100],
+        [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106], [1.0, 2.0 ** -53, -(2.0 ** -106)],
+        [1.0 + 2.0 ** -52, 2.0 ** -53], [-1.0, -(2.0 ** -53), -(2.0 ** -106)],
+        # the sticky bit that breaks the tie sits 125 = 4 * 31 + 1 bits below the top
+        [2.0 ** 19, -(2.0 ** 19), 1.0, 2.0 ** -53 + 2.0 ** -105],
+        [1.0, 0.0, 2.0 ** -53, 2.0 ** -100],
+        [TINY], [TINY, -TINY, TINY], [2.0 ** -1022, -TINY], [1.0, TINY], [1e20, 1e-300],
+        [1e280, -1e280, 1e-280], [1e300, 1.0, -1e300], [MAX, -MAX, 1.0],
+        [MAX, 2.0 ** 969], [MAX, 2.0 ** 970], [1e308, 1e308], [1e308, 1e308, -1e308],
+        [INF], [-INF, 1.0], [INF, -INF], [INF, INF, 1e308, 1e308], [math.nan, 1.0],
+        [math.nan, INF, -INF], [INF, 1.0, math.nan],
+    ])
+    def test_special_values_match_fsum(self, xs):
+        a = np.array(xs, dtype=np.float64)
+        want = fsum_outcome(lambda: math.fsum(xs))
+        assert fsum_outcome(lambda: exact_fsum(lambda: [a])) == want
+        for cut in range(len(xs) + 1):
+            assert fsum_outcome(lambda: exact_fsum(lambda: [a[:cut], a[cut:]])) == want
+
+    @pytest.mark.parametrize("kind", ["uniform", "cancel", "subnormal", "wide", "huge"])
+    def test_random_arrays_match_fsum(self, kind):
+        rng = random.Random(kind)
+        for trial in range(40):
+            size = rng.choice([1, 2, 3, 17, 300, SUM_PIECE - 1, SUM_PIECE + 3] if trial % 8 == 0
+                              else [1, 2, 3, 17, 300])
+            if kind == "uniform":
+                xs = [rng.uniform(-1.0, 1.0) for _ in range(size)]
+            elif kind == "cancel":
+                half = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30) for _ in range(size)]
+                xs = half + [-x for x in half] + [rng.uniform(-1e-40, 1e-40)]
+                rng.shuffle(xs)
+            elif kind == "subnormal":
+                xs = [rng.choice([-1, 1]) * TINY * rng.randrange(2 ** 60) for _ in range(size)]
+            elif kind == "wide":
+                xs = [rng.choice([-1, 1]) * 10.0 ** rng.uniform(-323, 300) for _ in range(size)]
+            else:
+                xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.choice([250, 300, 307]) for _ in range(size)]
+            a = np.array(xs, dtype=np.float64)
+            cuts = sorted(rng.randrange(len(xs) + 1) for _ in range(2))
+            chunks = [a[:cuts[0]], a[cuts[0]:cuts[1]], a[cuts[1]:]]
+            assert fsum_outcome(lambda: exact_fsum(lambda: chunks)) == fsum_outcome(
+                lambda: math.fsum(xs))
+
+    def test_empty_chunks(self):
+        a = np.array([0.25, -3.0, 1e-20])
+        assert exact_fsum(lambda: []) == 0.0
+        assert repr(exact_fsum(lambda: [a[:0], a, a[:0]])) == repr(math.fsum(a.tolist()))
+
+
+def mask_products(n, w):
+    """Edge product of every connected mask, pair by pair in ascending order."""
+    masks = G.connected_masks(n)
+    prods = np.ones(masks.size)
+    for k, wk in enumerate(w):
+        prods *= np.where(masks >> k & 1, wk, 1.0)
+    return prods
+
+
+class TestGraphSumIsFsum:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_float_graph_sum_equals_fsum_of_terms(self, n):
+        rng = random.Random(1700 + n)
+        mats = [random_matrix(n, rng, p_inf=0.2, lo=-0.5, hi=2.0),
+                random_matrix(n, rng, p_inf=0.0, lo=-3.0, hi=3.0),
+                InteractionMatrix(n, {p: rng.choice([0.0, 1e-12, -0.25, 4.0, INF])
+                                      for p in G.vertex_pairs(n)})]
+        for V in mats:
+            if V.is_hard_core:
+                continue
+            terms = mask_products(n, V.mayer_weights())
+            assert repr(ursell_graph_sum(V)) == repr(math.fsum(terms.tolist()))
 
 
 class TestTextForm:
