@@ -156,14 +156,22 @@ def _cmd_ursell(args) -> int:
         V = ursell.InteractionMatrix.from_text(args.matrix)
     else:
         raise ValueError("need --matrix or --matrix-file")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        a = ursell.ursell_graph_sum(V)
-        b = ursell.ursell_partition_formula(V)
-        c = ursell.ursell_tree_identity(V, "penrose")
-        d = ursell.ursell_tree_identity(V, "kruskal")
+    if V.n < 1:
+        raise ValueError("need n >= 1")
+    overflow = ValueError(f"the Ursell coefficient overflows a float at n = {V.n}: "
+                          "Boltzmann weights this large have no finite sum")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            a = ursell.ursell_graph_sum(V)
+            b = ursell.ursell_partition_formula(V)
+            c = ursell.ursell_tree_identity(V, "penrose")
+            d = ursell.ursell_tree_identity(V, "kruskal")
+    except graphs.CapExceededError:
+        raise
+    except (ValueError, OverflowError) as exc:  # e^(-V) past the float range, or inf - inf in a sum
+        raise overflow from exc
     if not all(math.isfinite(x) for x in map(float, (a, b, c, d))):
-        raise ValueError(f"the Ursell coefficient overflows a float at n = {V.n}: "
-                         "Boltzmann weights this large have no finite sum")
+        raise overflow
     scale = max(abs(float(a)), 1e-30)
     payload = {
         "command": "ursell",
@@ -322,20 +330,33 @@ def _cmd_polymer(args) -> int:
     return 0
 
 
+def _refuse_past_float_range(L: int, beta: float, contour: bool = False) -> None:
+    """Refuse, before any table is built, a beta whose sums pass the largest
+    float: the all-aligned (all-opposite for beta < 0) + boundary term of Z
+    alone weighs up to e^(|beta| 2L(L+1)), and for beta < 0 the top term
+    e^(-2 beta k) of the contour sum up to e^(2|beta| 2L(L+1))."""
+    pairs = 2 * L * (L + 1)
+    checks = [("Z", "|beta|", abs(beta))]
+    if contour and beta < 0:
+        checks.append(("the contour sum Xi", "2|beta|", -2 * beta))
+    for what, rate, x in checks:
+        try:
+            math.exp(x * pairs)
+        except OverflowError:
+            raise ValueError(f"{what} is past the largest float at L = {L}, beta = {beta}: "
+                             f"e^({rate} 2L(L+1)) overflows") from None
+
+
 def _cmd_ising(args) -> int:
     if args.action == "z":
         rows = []
         for beta in args.beta:
-            # refused before any sweep: the all-aligned (all-opposite for beta < 0)
-            # + boundary term of Z alone weighs up to e^(|beta| 2L(L+1))
-            try:
-                math.exp(abs(beta) * 2 * args.L * (args.L + 1))
-            except OverflowError:
-                raise ValueError(f"Z is past the largest float at L = {args.L}, beta = {beta}: "
-                                 "e^(|beta| 2L(L+1)) overflows") from None
+            _refuse_past_float_range(args.L, beta, contour=True)
         for beta in args.beta:
-            zb = ising.brute_force_Z(args.L, beta, boundary=args.boundary)
+            # the even-subgraph walk first: HIGH_T_CAP is the lowest cap, so an L past
+            # it is refused before any transfer
             xi_h, z_h = ising.high_T_polymer_Z(args.L, beta)
+            zb = ising.brute_force_Z(args.L, beta, boundary=args.boundary)
             low = ising.low_T_contour_Z(args.L, beta)
             zbp = ising.brute_force_Z(args.L, beta, boundary="plus")
             mag = ising.magnetization(args.L, beta, boundary=args.boundary)
@@ -363,6 +384,7 @@ def _cmd_ising(args) -> int:
         return 0
     if args.action == "magnetization":
         beta = args.beta[0] if args.beta else 2.0
+        _refuse_past_float_range(args.L, beta)
         rep = ising.magnetization(args.L, beta, boundary=args.boundary)
         payload = {"command": "ising", "action": "magnetization", "L": args.L, "beta": beta,
                    "boundary": args.boundary, "M": rep.mean,

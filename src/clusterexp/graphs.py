@@ -1,7 +1,10 @@
 """Labelled graphs, trees and partition schemes on the vertex set {0, ..., n-1}.
 
 A graph on [n] is an edge subset of the n(n-1)/2 vertex pairs, encoded as a
-bitmask over the pairs in lexicographic order.  Trees are produced through the
+bitmask over the pairs in lexicographic order.  The connected masks are
+built from the graphs on one vertex fewer: a star at vertex 0 joins a graph
+on {1..n-1} exactly when it meets each of its components, and the scalar BFS
+``is_connected`` stays their oracle.  Trees are produced through the
 Pruefer bijection, which guarantees exactly n^(n-2) of them: ``tree_table``
 decodes every sequence at once into numpy columns (mask, parent, depth, pair
 indices).  Two maps from rooted trees to connected graphs are provided -- the
@@ -176,43 +179,57 @@ def enumerate_graphs(n: int) -> Iterator[LabeledGraph]:
         yield LabeledGraph(n, mask)
 
 
+def _components(m: int, masks: np.ndarray) -> np.ndarray:
+    """comp[v, g]: the component of vertex v in the graph ``masks[g]`` on [m],
+    as an m-bit set, by a bitset BFS from every vertex at once."""
+    bitset = np.min_scalar_type((1 << m) - 1)
+    adj = np.zeros((m, masks.size), dtype=bitset)
+    for k, (i, j) in enumerate(vertex_pairs(m)):
+        bit = (masks >> k & 1).astype(bitset)
+        adj[i] |= bit << j
+        adj[j] |= bit << i
+    seen = np.repeat(np.left_shift(1, np.arange(m, dtype=bitset))[:, None], masks.size, axis=1)
+    while True:
+        grown = seen.copy()
+        for v in range(m):
+            grown |= adj[v] & -(grown >> v & 1)
+        if np.array_equal(grown, seen):
+            return seen
+        seen = grown
+
+
 @lru_cache(maxsize=None)
 def connected_masks(n: int) -> np.ndarray:
     """Bitmasks of all connected graphs on [n]: a read-only, ascending int64
-    array, built once per n by a bitset BFS from vertex 0 over every mask at
-    once, a chunk at a time.
+    array, built once per n from the graphs on the n-1 vertices {1..n-1}.
 
-    Adjacency rows are bitsets of the smallest unsigned dtype that holds n
-    bits, so a raised ``GRAPH_CAP`` cannot overflow them.
+    In the pair order the n-1 pairs of vertex 0 are the low bits, so a mask
+    is ``(H << (n-1)) | S``: a graph H on {1..n-1} in the pair order of
+    [n-1] and a star S of edges at vertex 0.  H + S is connected exactly when
+    S meets every component of H.  The (H, S) table of that test is
+    row-major in the mask, so its true cells, in order, are the connected
+    masks; it is built MASK_CHUNK cells at a time.  Component bitsets use the
+    smallest unsigned dtype that holds n-1 bits, so a raised ``GRAPH_CAP``
+    cannot overflow them.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > GRAPH_CAP:
         raise CapExceededError(f"graph enumeration refused for n={n}: cap is {GRAPH_CAP}")
-    pairs = vertex_pairs(n)
-    total = 1 << len(pairs)
-    full = (1 << n) - 1
-    bitset = np.min_scalar_type(full)
+    m = n - 1
+    graphs = 1 << num_pairs(m)
+    stars = np.arange(1 << m, dtype=np.min_scalar_type((1 << m) - 1))
+    meets = (stars[:, None] & stars) != 0  # meets[c, S]: the star S meets the set c
+    step = max(1, MASK_CHUNK >> m)
     # sized for every mask; pages past the final fill are never touched
-    table = np.empty(total, dtype=np.int64)
+    table = np.empty(graphs << m, dtype=np.int64)
     filled = 0
-    for start in range(0, total, MASK_CHUNK):
-        masks = np.arange(start, min(start + MASK_CHUNK, total), dtype=np.int64)
-        masks = masks[np.bitwise_count(masks) >= n - 1]
-        adj = np.zeros((n, masks.size), dtype=bitset)
-        for k, (i, j) in enumerate(pairs):
-            bit = (masks >> k & 1).astype(bitset)
-            adj[i] |= bit << j
-            adj[j] |= bit << i
-        seen = np.ones(masks.size, dtype=bitset)
-        while True:
-            grown = seen.copy()
-            for v in range(n):
-                grown |= adj[v] & -(grown >> v & 1)
-            if np.array_equal(grown, seen):
-                break
-            seen = grown
-        hit = masks[seen == full]
+    for lo in range(0, graphs, step):
+        comp = _components(m, np.arange(lo, min(lo + step, graphs), dtype=np.int64))
+        ok = np.ones((comp.shape[1], stars.size), dtype=bool)
+        for c in comp:
+            ok &= meets[c]
+        hit = np.flatnonzero(ok) + (lo << m)
         table[filled:filled + hit.size] = hit
         filled += hit.size
     table.resize(filled, refcheck=False)

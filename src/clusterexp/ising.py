@@ -1,11 +1,13 @@
 """2D Ising model at zero field: exact sums and both polymer expansions.
 
-Everything is desk scale and cross-checked three ways.  One pass over all
-2^(L^2) spin configurations of the L x L box per boundary gives an exact
-integer density of states; at any beta the partition function and the
-magnetization are exactly rounded sums over its bins, so the spin-flip
-symmetries hold bit for bit.  The partition function is reproduced at high
-temperature from the even subgraphs of the box (spanned by the plaquette
+Everything is desk scale and cross-checked three ways.  A transfer over the
+sites of the L x L box in row-major order, with the last row of spins as its
+state, gives per boundary the exact integer density of states of all
+2^(L^2) spin configurations; a plain sweep over the configurations is kept as
+its oracle.  At any beta the partition function and the magnetization are
+exactly rounded sums over its bins, so the spin-flip symmetries hold bit for
+bit.  The partition function is reproduced at high temperature from the
+even subgraphs of the box (spanned by the plaquette
 cycle basis, 2^((L-1)^2) elements) and at low temperature from the contour
 representation under + boundary (every configuration maps to a family of
 dual-lattice contours and back).  The duality map phi(beta) = -ln(tanh beta)/2 exchanges the two
@@ -13,14 +15,16 @@ activities on the same animal family; its fixed point is the critical
 coupling ln(1 + sqrt 2)/2.
 
 The box side is capped by module constants, read when a table is built:
-``BRUTE_CAP`` for the configuration sweep behind the partition function,
-the contour sum and the magnetization, ``HIGH_T_CAP`` for the even
-subgraphs.  J = 1 by convention throughout: beta carries the scale.
+``TRANSFER_CAP`` for the transfer behind the partition function, the contour
+sum and the magnetization, ``BRUTE_CAP`` for the oracle sweep,
+``HIGH_T_CAP`` for the even subgraphs.  J = 1 by convention throughout: beta
+carries the scale.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,9 +33,12 @@ import numpy as np
 from .graphs import MASK_CHUNK, CapExceededError
 from .mayer import bisect_root
 
-BRUTE_CAP = 5   # the density-of-states sweep visits 2^(L^2) configurations
+TRANSFER_CAP = 7  # the density-of-states transfer places L^2 sites over 2^L frontier states
+BRUTE_CAP = 5   # the oracle sweep visits 2^(L^2) configurations
 HIGH_T_CAP = 6  # the even-subgraph walk visits 2^((L-1)^2) cycle-space elements
 ANIMAL_A = 0.21  # the weight e^(a|g|) of the animal counting conditions
+_LN2 = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _site(r: int, c: int, L: int) -> int:
@@ -66,35 +73,43 @@ def _config_chunks(L: int):
         yield np.arange(lo, min(lo + MASK_CHUNK, total), dtype=np.uint64)
 
 
+def _outside_bit(boundary: str) -> int | None:
+    """Down-bit of the fixed outside spins; None for a free boundary."""
+    if boundary not in ("free", "plus", "minus"):
+        raise ValueError("boundary must be free, plus or minus")
+    return {"free": None, "plus": 0, "minus": 1}[boundary]
+
+
 def _opposite_bond_counts(configs: np.ndarray, L: int, boundary: str) -> np.ndarray:
     """Per configuration: the number of opposite-spin nearest-neighbour pairs,
     counting the 4L boundary pairs against fixed outside spins for +/-."""
+    outside = _outside_bit(boundary)
     opp = np.zeros(configs.shape, dtype=np.int64)
     for i, j in internal_bonds(L):
         opp += ((configs >> np.uint64(i)) ^ (configs >> np.uint64(j))).astype(np.int64) & 1
-    if boundary in ("plus", "minus"):
-        outside_bit = 0 if boundary == "plus" else 1
+    if outside is not None:
         for x, k in enumerate(boundary_multiplicity(L)):
             if k:
                 bit = (configs >> np.uint64(x)).astype(np.int64) & 1
-                opp += k * (bit ^ outside_bit)
-    elif boundary != "free":
-        raise ValueError("boundary must be free, plus or minus")
+                opp += k * (bit ^ outside)
     return opp
 
 
-@lru_cache(maxsize=None)
-def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """Exact histograms over all 2^(L^2) configurations by the number k of
-    opposite-spin pairs: N[k] configurations, and M[x, k] the sum of the spin
-    sigma_x over them.  Read-only int64; one sweep per (L, boundary), refused
-    beyond BRUTE_CAP."""
+def _bins(L: int, boundary: str) -> int:
+    """One bin per possible count of opposite pairs: 2L(L-1) internal pairs,
+    plus 4L pairs against the outside unless the boundary is free."""
+    return 2 * L * (L - 1) + (4 * L if boundary != "free" else 0) + 1
+
+
+def _sweep_density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle of ``_density_of_states``: the same histograms by one sweep
+    over all 2^(L^2) configurations, MASK_CHUNK at a time; refused beyond
+    BRUTE_CAP."""
     if L < 1:
         raise ValueError("need L >= 1")
     if L > BRUTE_CAP:
-        raise CapExceededError(f"brute force capped at L={BRUTE_CAP}")
-    n_pairs = 2 * L * (L - 1) + (4 * L if boundary != "free" else 0)  # internal + outside pairs
-    bins = n_pairs + 1
+        raise CapExceededError(f"configuration sweep capped at L={BRUTE_CAP}")
+    bins = _bins(L, boundary)
     N = np.zeros(bins, dtype=np.int64)
     down = np.zeros((L * L, bins), dtype=np.int64)  # configurations with sigma_x = -1
     for configs in _config_chunks(L):
@@ -103,23 +118,90 @@ def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
         for x in range(L * L):
             bit = (configs >> np.uint64(x)).astype(np.int64) & 1
             down[x] += np.bincount(opp[bit == 1], minlength=bins)
-    M = N - 2 * down
+    return N, N - 2 * down
+
+
+@lru_cache(maxsize=None)
+def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Exact histograms over all 2^(L^2) configurations by the number k of
+    opposite-spin pairs: N[k] configurations, and M[x, k] the sum of the spin
+    sigma_x over them.  Read-only int64; one transfer per (L, boundary),
+    refused beyond TRANSFER_CAP.
+
+    The sites are placed in row-major order.  The state is the L-bit frontier
+    whose bit c is the down-bit of the last placed site of column c, so
+    placing site (r, c) with down-bit b meets its upper neighbour in bit c,
+    its left neighbour in bit c-1 and its outside neighbours, adds the
+    opposite pairs among them to k, and sets bit c to b.  Layer 0 of the
+    (L^2 + 1, 2^L, bins) table counts configurations; layer 1 + x, started
+    as +-layer 0 when x is placed, carries the sigma_x-signed count, so one
+    pass gives N and M.  Every count is at most 2^(L^2) <= 2^49, so int64
+    stays exact.
+    """
+    if L < 1:
+        raise ValueError("need L >= 1")
+    if L > TRANSFER_CAP:
+        raise CapExceededError(f"transfer capped at L={TRANSFER_CAP}")
+    outside = _outside_bit(boundary)
+    bins = _bins(L, boundary)
+    n = L * L
+    mult = boundary_multiplicity(L)
+    states = np.arange(1 << L)
+    table = np.zeros((n + 1, 1 << L, bins), dtype=np.int64)
+    table[0, 0, 0] = 1
+    for x in range(n):
+        r, c = divmod(x, L)
+        live = table[:x + 1]  # the layers of the unplaced sites are still zero
+        nxt = np.zeros_like(table)
+        for b in (0, 1):
+            shift = ((states >> c & 1) ^ b) * (r > 0)
+            if c > 0:
+                shift += (states >> (c - 1) & 1) ^ b
+            if outside is not None:
+                shift += mult[x] * (b ^ outside)
+            to = states & ~(1 << c) | b << c
+            for d in set(shift.tolist()):
+                src = np.flatnonzero(shift == d)
+                # the two sources of a target differ in bit c: one per half
+                for half in (src[src >> c & 1 == 0], src[src >> c & 1 == 1]):
+                    nxt[:x + 1, to[half], d:] += live[:, half, :bins - d]
+            placed = states[states >> c & 1 == b]  # the targets of this b, now complete
+            nxt[1 + x, placed] = nxt[0, placed] * (1 - 2 * b)
+        table = nxt
+    N, M = table[0].sum(axis=0), table[1:].sum(axis=1)
     N.flags.writeable = False
     M.flags.writeable = False
     return N, M
 
 
-def _bin_weights(N: np.ndarray, beta: float) -> np.ndarray:
-    """e^(-beta H) per bin k: aligned minus opposite pairs, times beta."""
-    return np.exp(beta * (N.size - 1 - 2 * np.arange(N.size)))
+def _boltzmann_sum(N: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """The weight e^(-beta H) per bin k, aligned minus opposite pairs times
+    beta, and the exactly rounded Z = sum N[k] w[k] (inf past the largest
+    float)."""
+    exponent = beta * (N.size - 1 - 2 * np.arange(N.size))
+    # N[k] <= 2^(L^2) <= 2^N.size, so below this bound no weight, term or
+    # partial sum can pass the largest float
+    if (abs(beta) + _LN2) * (N.size - 1) + _LN2 < _LOG_FLOAT_MAX:
+        w = np.exp(exponent)
+        return w, math.fsum((N * w).tolist())
+    # near the float range only the occupied bins are weighed, so that an inf
+    # weight never meets a zero count
+    with np.errstate(over="ignore"):
+        w = np.exp(exponent, where=N != 0, out=np.zeros(N.size))
+        terms = N * w
+    try:
+        return w, math.fsum(terms.tolist())
+    except OverflowError:  # finite terms whose sum is past the largest float
+        return w, math.inf
 
 
 def brute_force_Z(L: int, beta: float, boundary: str = "free") -> float:
-    """Exact partition function by summation over all 2^(L^2) configurations."""
+    """Exact partition function by summation over all 2^(L^2) configurations
+    (inf past the largest float)."""
     N, _ = _density_of_states(L, boundary)
     # exactly-rounded accumulation over exact integer counts: the plus and
     # minus boundaries share N, so their sums match bit for bit
-    return math.fsum((N * _bin_weights(N, beta)).tolist())
+    return _boltzmann_sum(N, beta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +476,21 @@ def _site_boundary_distance(r: int, c: int, L: int) -> int:
 
 
 def magnetization(L: int, beta: float, boundary: str = "free") -> MagnetizationReport:
-    """Exact per-site expectations by enumeration, with the two rigorous
-    bound checks attached.
+    """Exact per-site expectations from the density of states, with the two
+    rigorous bound checks attached.
 
     The spin sums are exact integers per bin and are accumulated with exact
     rounding (fsum), so the symmetries hold exactly at every L: free boundary
     gives 0.0 and the minus boundary gives the exact negation of the plus
-    boundary.
+    boundary.  A beta whose Z is past the largest float is refused
+    (ValueError), since every expectation would then read inf / inf.
     """
     n = L * L
     N, M = _density_of_states(L, boundary)
-    w = _bin_weights(N, beta)
-    z = math.fsum((N * w).tolist())
+    w, z = _boltzmann_sum(N, beta)
+    if z == math.inf:
+        raise ValueError(f"Z is past the largest float at L = {L}, beta = {beta}: "
+                         "the magnetization is inf / inf")
     per_site = np.array([math.fsum((m * w).tolist()) for m in M]) / z
     mean = math.fsum(per_site.tolist()) / n
 

@@ -23,11 +23,13 @@ REFUSALS = [
     ("graphs-alternating", lambda: G.alternating_connected_sum(G.GRAPH_CAP + 1), "cap is 7"),
     ("graphs-verify-scheme",
      lambda: G.verify_partition_scheme(G.GRAPH_CAP + 1, np.zeros((0, 0), dtype=bool)), "cap is 7"),
-    ("ising-brute-force", lambda: I.brute_force_Z(I.BRUTE_CAP + 1, 0.3), "capped at L=5"),
+    ("ising-brute-force", lambda: I.brute_force_Z(I.TRANSFER_CAP + 1, 0.3), "capped at L=7"),
+    ("ising-sweep", lambda: I._sweep_density_of_states(I.BRUTE_CAP + 1, "free"),
+     "capped at L=5"),
     ("ising-even-subgraphs", lambda: I.even_subgraph_size_counts(I.HIGH_T_CAP + 1),
      "capped at L=6"),
-    ("ising-contours", lambda: I.low_T_contour_Z(I.BRUTE_CAP + 1, 0.3), "capped at L=5"),
-    ("ising-magnetization", lambda: I.magnetization(I.BRUTE_CAP + 1, 0.3), "capped at L=5"),
+    ("ising-contours", lambda: I.low_T_contour_Z(I.TRANSFER_CAP + 1, 0.3), "capped at L=7"),
+    ("ising-magnetization", lambda: I.magnetization(I.TRANSFER_CAP + 1, 0.3), "capped at L=7"),
     ("ursell-partition", lambda: U.ursell_partition_formula(U.InteractionMatrix(11, {})),
      "cap is 10"),
     ("ursell-graph-sum", lambda: U.ursell_graph_sum(U.InteractionMatrix(G.GRAPH_CAP + 1, {})),

@@ -296,7 +296,7 @@ class TestHarness:
         (["polymer", "partition", "--system-file", "no-such-dir/s.txt"], "cannot open"),
         (["graphs", "count", "--n", "3", "--output", "no-such-dir/out.json"], "cannot open"),
         (["graphs", "count", "--n", "8"], "cap is 7"),
-        (["ising", "z", "--L", "6"], "capped at L=5"),
+        (["ising", "z", "--L", "7"], "capped at L=6"),
         (["potentials", "eval", "--params", "a=nan"], "a must be a positive finite length"),
         (["potentials", "integrals", "--family", "lennard_jones", "--params", "sigma=-1"],
          "sigma must be a positive finite length"),
@@ -320,6 +320,42 @@ class TestHarness:
     ])
     def test_ising_z_past_the_float_range_is_refused(self, capsys, argv):
         assert_usage_error(capsys, ["ising", "z"] + argv, "Z is past the largest float")
+
+    @pytest.mark.parametrize("L,beta", [("4", "-17.7"), ("3", "-15"), ("5", "-6")])
+    def test_ising_z_contour_sum_past_the_float_range_is_refused(self, capsys, L, beta):
+        # for beta < 0 the contour sum's e^(-2 beta k) passes the largest
+        # float at half the |beta| of Z itself
+        assert_usage_error(capsys, ["ising", "z", "--L", L, "--beta", beta],
+                           "the contour sum Xi is past the largest float")
+
+    @pytest.mark.parametrize("beta", ["-8.8", "17.7"])
+    def test_ising_z_just_inside_the_float_range_is_finite(self, capsys, beta):
+        code, data = run_json(capsys, ["ising", "z", "--L", "4", "--beta", beta])
+        assert code == 0
+        row, = data["rows"]
+        assert all(math.isfinite(v) for v in row.values() if not isinstance(v, str))
+
+    @pytest.mark.parametrize("argv", [
+        ["--L", "4", "--beta", "30"],
+        ["--L", "4", "--beta", "-30", "--boundary", "plus"],
+    ])
+    def test_ising_magnetization_past_the_float_range_is_refused(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_usage_error(capsys, ["ising", "magnetization"] + argv,
+                               "Z is past the largest float")
+
+    @pytest.mark.parametrize("matrix", [
+        "4; 0 1 -300; 0 2 -300; 0 3 0; 1 2 -200; 1 3 0.5; 2 3 -300",  # inf - inf in the sum
+        "3; 0 1 -800; 0 2 1; 1 2 1",  # e^800 - 1 is past the largest float
+    ])
+    def test_ursell_overflow_is_refused(self, capsys, matrix):
+        assert_usage_error(capsys, ["ursell", "--matrix", matrix],
+                           "the Ursell coefficient overflows a float")
+
+    def test_ursell_size_errors_keep_their_message(self, capsys):
+        assert_usage_error(capsys, ["ursell", "--matrix", "0"], "need n >= 1")
+        assert_usage_error(capsys, ["ursell", "--matrix", "8; 0 1 1"], "cap is 7")
 
     def test_commands_without_quadrature_do_not_import_scipy(self):
         script = ("import sys\n"

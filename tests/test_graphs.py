@@ -22,6 +22,31 @@ def connected_count_recurrence(n: int) -> int:
     return c[n]
 
 
+def connected_edge_polynomials(n: int) -> dict[int, list[int]]:
+    """Independent oracle: C_m(y) = (1+y)^C(m,2) - sum_k C(m-1,k-1) C_k(y)
+    (1+y)^C(m-k,2), the connected graphs on [m] by edge count, as exact
+    integer coefficient lists."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def one_plus_y(e):
+        return [math.comb(e, k) for k in range(e + 1)]
+
+    c = {1: [1]}
+    for m in range(2, n + 1):
+        total = one_plus_y(m * (m - 1) // 2)
+        for k in range(1, m):
+            term = mul(c[k], one_plus_y((m - k) * (m - k - 1) // 2))
+            for d, x in enumerate(term):
+                total[d] -= math.comb(m - 1, k - 1) * x
+        c[m] = total
+    return c
+
+
 class TestEnumeration:
     def test_graph_counts(self):
         assert sum(1 for _ in G.enumerate_graphs(2)) == 2
@@ -71,6 +96,23 @@ class TestConnectivity:
         assert table.dtype == np.int64 and not table.flags.writeable
         scalar = [m for m in range(1 << G.num_pairs(n)) if G._mask_connected(n, m)]
         assert table.tolist() == scalar
+
+    def test_edge_histogram_matches_polynomial_recurrence(self):
+        hist = np.bincount(np.bitwise_count(G.connected_masks(7)), minlength=22)
+        expect = connected_edge_polynomials(7)[7]
+        assert hist.tolist() == expect
+        assert expect[6] == 7 ** 5 == 16807 and sum(expect) == 1866256
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_table_is_the_same_in_chunks(self, monkeypatch, n):
+        G.connected_masks.cache_clear()
+        whole = G.connected_masks(n)
+        G.connected_masks.cache_clear()
+        monkeypatch.setattr(G, "MASK_CHUNK", 300)  # a few graphs on n-1 vertices per step
+        try:
+            assert np.array_equal(G.connected_masks(n), whole)
+        finally:
+            G.connected_masks.cache_clear()
 
     def test_one_cache_entry_per_n(self):
         G.connected_masks.cache_clear()

@@ -25,14 +25,32 @@ class TestBruteForce:
 
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            I.brute_force_Z(7, 0.1)
+            I.brute_force_Z(I.TRANSFER_CAP + 1, 0.1)
+        with pytest.raises(ValueError, match="capped"):
+            I._sweep_density_of_states(I.BRUTE_CAP + 1, "free")
+
+    def test_past_the_float_range(self):
+        # e^(30 * 24) is past the largest float: Z is inf, and the
+        # magnetization, inf / inf, is refused rather than nan
+        assert I.brute_force_Z(4, 30.0) == math.inf
+        with pytest.raises(ValueError, match="past the largest float"):
+            I.magnetization(4, 30.0)
+
+    def test_guarded_sum_near_the_float_range_is_the_plain_sum(self):
+        # e^(17.5 * 40) is finite, but past the bound of the unguarded sum
+        N, M = I._density_of_states(4, "plus")
+        w = np.exp(17.5 * (N.size - 1 - 2 * np.arange(N.size)))
+        z = math.fsum((N[N != 0] * w[N != 0]).tolist())
+        assert I.brute_force_Z(4, 17.5, boundary="plus") == z
+        rep = I.magnetization(4, 17.5, boundary="plus")
+        assert rep.per_site.tolist() == [math.fsum((m * w)[N != 0].tolist()) / z for m in M]
 
 
 class TestDensityOfStates:
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_counts_are_the_contour_perimeter_histogram(self, L):
         # geometric route: the opposite pairs under + boundary are the dual
-        # edges of the contours, whatever counted them in the sweep
+        # edges of the contours, whatever counted them in the table
         N, M = I._density_of_states(L, "plus")
         hist = [0] * N.size
         for cfg in range(1 << (L * L)):
@@ -63,6 +81,40 @@ class TestDensityOfStates:
         expect = [math.fsum(t) / z for t in m_terms]
         rep = I.magnetization(L, bj, boundary=boundary)
         assert rep.per_site.tolist() == pytest.approx(expect, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("boundary", ["free", "plus", "minus"])
+    def test_transfer_matches_sweep(self, L, boundary):
+        N, M = I._density_of_states(L, boundary)
+        N0, M0 = I._sweep_density_of_states(L, boundary)
+        assert N.dtype == N0.dtype and M.dtype == M0.dtype
+        assert np.array_equal(N, N0) and np.array_equal(M, M0)
+
+    @pytest.mark.parametrize("L", [5, 6])
+    def test_van_der_waerden_identity(self, L):
+        # sum_k N[k] (1+t)^(E-k) (1-t)^k = 2^(L^2) sum_m c_m t^m in exact
+        # integers: the free-boundary histogram against the even subgraphs
+        N, _ = I._density_of_states(L, "free")
+        E = N.size - 1
+        plus = [[math.comb(e, i) for i in range(e + 1)] for e in range(E + 1)]
+        minus = [[(-1) ** i * math.comb(e, i) for i in range(e + 1)] for e in range(E + 1)]
+        poly = [0] * (E + 1)
+        for k, count in enumerate(N.tolist()):
+            for i, a in enumerate(plus[E - k]):
+                for j, b in enumerate(minus[k]):
+                    poly[i + j] += count * a * b
+        assert poly == [2 ** (L * L) * c for c in I.even_subgraph_size_counts(L)]
+
+    def test_largest_box(self):
+        L = I.TRANSFER_CAP
+        assert L == 7
+        N, M = I._density_of_states(L, "free")
+        assert int(N.sum()) == 2 ** 49 and N[:4].tolist() == [2, 0, 8, 56]
+        assert not M.any()
+        Np, Mp = I._density_of_states(L, "plus")
+        Nm, Mm = I._density_of_states(L, "minus")
+        assert int(Np.sum()) == 2 ** 49 and np.array_equal(Np, Nm)
+        assert np.array_equal(Mm, -Mp) and Mp.shape == (L * L, 2 * L * (L + 1) + 1)
 
 
 class TestHighTemperature:
