@@ -166,9 +166,11 @@ def _cmd_ursell(args) -> int:
             b = ursell.ursell_partition_formula(V)
             c = ursell.ursell_tree_identity(V, "penrose")
             d = ursell.ursell_tree_identity(V, "kruskal")
-    except graphs.CapExceededError:
-        raise
-    except (ValueError, OverflowError) as exc:  # e^(-V) past the float range, or inf - inf in a sum
+    except OverflowError as exc:  # e^(-V) - 1 past the float range
+        raise overflow from exc
+    except ValueError as exc:  # fsum meets the terms +inf and -inf
+        if str(exc) != "-inf + inf in fsum":
+            raise
         raise overflow from exc
     if not all(math.isfinite(x) for x in map(float, (a, b, c, d))):
         raise overflow

@@ -37,7 +37,6 @@ TRANSFER_CAP = 7  # the density-of-states transfer places L^2 sites over 2^L fro
 BRUTE_CAP = 5   # the oracle sweep visits 2^(L^2) configurations
 HIGH_T_CAP = 6  # the even-subgraph walk visits 2^((L-1)^2) cycle-space elements
 ANIMAL_A = 0.21  # the weight e^(a|g|) of the animal counting conditions
-_LN2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -175,19 +174,14 @@ def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _boltzmann_sum(N: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """The weight e^(-beta H) per bin k, aligned minus opposite pairs times
-    beta, and the exactly rounded Z = sum N[k] w[k] (inf past the largest
-    float)."""
+    """The weight e^(-beta H) per occupied bin k, aligned minus opposite
+    pairs times beta, and the exactly rounded Z = sum N[k] w[k] (inf past
+    the largest float)."""
     exponent = beta * (N.size - 1 - 2 * np.arange(N.size))
-    # N[k] <= 2^(L^2) <= 2^N.size, so below this bound no weight, term or
-    # partial sum can pass the largest float
-    if (abs(beta) + _LN2) * (N.size - 1) + _LN2 < _LOG_FLOAT_MAX:
-        w = np.exp(exponent)
-        return w, math.fsum((N * w).tolist())
-    # near the float range only the occupied bins are weighed, so that an inf
-    # weight never meets a zero count
+    # an empty bin is weighed e^0, so that an inf weight past the float range
+    # never meets a zero count (its terms are 0.0 either way)
     with np.errstate(over="ignore"):
-        w = np.exp(exponent, where=N != 0, out=np.zeros(N.size))
+        w = np.exp(exponent * (N != 0))
         terms = N * w
     try:
         return w, math.fsum(terms.tolist())
@@ -491,7 +485,7 @@ def magnetization(L: int, beta: float, boundary: str = "free") -> MagnetizationR
     if z == math.inf:
         raise ValueError(f"Z is past the largest float at L = {L}, beta = {beta}: "
                          "the magnetization is inf / inf")
-    per_site = np.array([math.fsum((m * w).tolist()) for m in M]) / z
+    per_site = np.array([math.fsum(row) for row in (M * w).tolist()]) / z
     mean = math.fsum(per_site.tolist()) / n
 
     low_bound = low_ok = None

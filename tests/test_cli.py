@@ -357,6 +357,16 @@ class TestHarness:
         assert_usage_error(capsys, ["ursell", "--matrix", "0"], "need n >= 1")
         assert_usage_error(capsys, ["ursell", "--matrix", "8; 0 1 1"], "cap is 7")
 
+    def test_ursell_other_route_errors_keep_their_message(self, capsys, monkeypatch):
+        from clusterexp import ursell
+
+        def refuse(V):
+            raise ValueError("a route's own message")
+
+        monkeypatch.setattr(ursell, "ursell_partition_formula", refuse)
+        assert_usage_error(capsys, ["ursell", "--matrix", "3; 0 1 1; 0 2 1; 1 2 1"],
+                           "a route's own message")
+
     def test_commands_without_quadrature_do_not_import_scipy(self):
         script = ("import sys\n"
                   "from clusterexp import cli\n"

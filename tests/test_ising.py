@@ -36,14 +36,18 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="past the largest float"):
             I.magnetization(4, 30.0)
 
-    def test_guarded_sum_near_the_float_range_is_the_plain_sum(self):
-        # e^(17.5 * 40) is finite, but past the bound of the unguarded sum
-        N, M = I._density_of_states(4, "plus")
-        w = np.exp(17.5 * (N.size - 1 - 2 * np.arange(N.size)))
-        z = math.fsum((N[N != 0] * w[N != 0]).tolist())
-        assert I.brute_force_Z(4, 17.5, boundary="plus") == z
-        rep = I.magnetization(4, 17.5, boundary="plus")
-        assert rep.per_site.tolist() == [math.fsum((m * w)[N != 0].tolist()) / z for m in M]
+    @pytest.mark.parametrize("L, beta, boundary", [
+        (3, 0.4, "free"), (4, -1.3, "plus"), (4, 17.5, "plus"), (4, -17.5, "minus"),
+    ])
+    def test_sum_is_the_plain_sum(self, L, beta, boundary):
+        # bit for bit the sum over every bin, up to e^(17.5 * 40) near the
+        # float range, where an empty bin's weight is already past 1e300
+        N, M = I._density_of_states(L, boundary)
+        w = np.exp(beta * (N.size - 1 - 2 * np.arange(N.size)))
+        z = math.fsum((N * w).tolist())
+        assert I.brute_force_Z(L, beta, boundary=boundary) == z
+        rep = I.magnetization(L, beta, boundary=boundary)
+        assert rep.per_site.tolist() == [math.fsum((m * w).tolist()) / z for m in M]
 
 
 class TestDensityOfStates:
