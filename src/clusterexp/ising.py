@@ -177,7 +177,12 @@ def _boltzmann_sum(N: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     """The weight e^(-beta H) per occupied bin k, aligned minus opposite
     pairs times beta, and the exactly rounded Z = sum N[k] w[k] (inf past
     the largest float)."""
-    exponent = beta * (N.size - 1 - 2 * np.arange(N.size))
+    return _weighed_sum(N, beta * (N.size - 1 - 2 * np.arange(N.size)))
+
+
+def _weighed_sum(N: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weight e^exponent[k] per occupied bin k and the exactly rounded
+    sum N[k] w[k] (inf past the largest float)."""
     # an empty bin is weighed e^0, so that an inf weight past the float range
     # never meets a zero count (its terms are 0.0 either way)
     with np.errstate(over="ignore"):
@@ -377,9 +382,10 @@ def low_T_contour_Z(L: int, beta: float) -> ContourReport:
     """
     btilde = 2 * L * (L + 1)
     N, _ = _density_of_states(L, "plus")
-    xi = math.fsum((N * np.exp(-2.0 * beta * np.arange(N.size))).tolist())
+    _, xi = _weighed_sum(N, -2.0 * beta * np.arange(N.size))
     try:
-        z = math.exp(beta * btilde) * xi
+        # an inf Xi stays inf where e^(beta Btilde) underflows to 0
+        z = math.exp(beta * btilde) * xi if xi < math.inf else math.inf
     except OverflowError:  # e^(beta Btilde) is past the largest float
         z = math.inf
     identity_ok, min_size = _contour_energy_identity(L)
@@ -489,8 +495,8 @@ def magnetization(L: int, beta: float, boundary: str = "free") -> MagnetizationR
     mean = math.fsum(per_site.tolist()) / n
 
     low_bound = low_ok = None
-    x_beta = 3.0 * math.exp(-2.0 * beta)
-    if boundary == "plus" and x_beta < 0.4795:
+    # x = 3 e^(-2 beta) < 0.4795 needs beta > 0, and e^(-2 beta) can overflow below 0
+    if boundary == "plus" and beta > 0 and 3.0 * math.exp(-2.0 * beta) < 0.4795:
         g = peierls_g(beta)
         low_bound = 1.0 - 2.0 * g
         low_ok = bool(mean >= low_bound - 1e-12)

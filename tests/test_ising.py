@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,24 @@ class TestDuality:
         rep = I.low_T_contour_Z(4, 30.0)
         assert rep.z_reconstructed == math.inf and rep.xi_contour == 1.0
 
+    @pytest.mark.parametrize("beta", [-17.7, -100.0])
+    def test_contour_sum_past_the_float_range_below_zero(self, beta):
+        # e^(-2 beta k) passes the largest float at bins no configuration
+        # fills; an inf weight must not meet a zero count (nan, with a warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = I.low_T_contour_Z(4, beta)
+        assert rep.xi_contour == math.inf and rep.z_reconstructed == math.inf
+
+    @pytest.mark.parametrize("beta", [-8.8, 0.3, 17.5])
+    def test_contour_sum_is_the_plain_sum(self, beta):
+        # bit for bit the sum over every bin, where no weight passes the float range
+        N, _ = I._density_of_states(4, "plus")
+        xi = math.fsum((N * np.exp(-2.0 * beta * np.arange(N.size))).tolist())
+        rep = I.low_T_contour_Z(4, beta)
+        assert rep.xi_contour == xi
+        assert rep.z_reconstructed == math.exp(beta * 40) * xi
+
 
 class TestMagnetization:
     def test_free_boundary_exactly_zero(self):
@@ -276,6 +295,15 @@ class TestMagnetization:
     def test_high_temperature_decay_bound(self):
         rep = I.magnetization(4, 0.05, boundary="plus")
         assert rep.high_t_site_bounds_ok
+
+    def test_finite_z_below_zero_beta(self):
+        # Z = 2 at L = 1 for every beta; e^(-2 beta) of the Peierls gate is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = I.magnetization(1, -400.0)
+            assert rep.mean == 0.0 and rep.low_t_bound is None
+            with pytest.raises(ValueError, match="Z is past the largest float"):
+                I.magnetization(1, -400.0, boundary="plus")
 
     def test_g_monotone_to_zero(self):
         betas = np.linspace(0.75, 4.0, 20)

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clusterexp import polymer as PL
@@ -80,6 +82,66 @@ def compatible_families(sys: PL.PolymerSystem) -> list[list]:
     return out
 
 
+def partition_phi(n: int, incompatible) -> int:
+    """Oracle: the hard-core Ursell coefficient by the partition formula,
+    from the incompatibility of each pair in lexicographic order."""
+    return U.ursell_partition_formula(U.InteractionMatrix(n, [U.INF if inc else 0.0
+                                                              for inc in incompatible]))
+
+
+def cluster_log_oracle(sys: PL.PolymerSystem, region, order: int) -> dict:
+    """Oracle: {monomial: phi / prod(mult!)} by a loop over the multisets of
+    the region, phi from the partition formula."""
+    phis: dict = {}
+    out = {}
+    for n in range(1, order + 1):
+        for combo in combinations_with_replacement(sorted(region, key=repr), n):
+            key = tuple(sys.incompatible(a, b) for a, b in combinations(combo, 2))
+            if key not in phis:
+                phis[key] = partition_phi(n, key)
+            if phis[key]:
+                mults = Counter(combo)
+                denom = math.prod(math.factorial(c) for c in mults.values())
+                out[tuple(sorted(mults.items(), key=lambda kv: repr(kv[0])))] = \
+                    Fraction(phis[key], denom)
+    return out
+
+
+def induction_oracle(by_vertex, a: float) -> tuple:
+    """Oracle: the subset-gas induction as a memo recursion over sub-volumes,
+    then a scan of (mask, bit) in ascending order; ``by_vertex[v]`` lists
+    (mask, rho) of the polymers whose lowest vertex is v."""
+    memo = {0: 1.0}
+
+    def xi_neg(mask: int) -> float:
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        v = (mask & -mask).bit_length() - 1
+        val = xi_neg(mask & (mask - 1))
+        for gm, r in by_vertex[v]:
+            if gm & mask == gm:
+                val -= r * xi_neg(mask & ~gm)
+        memo[mask] = val
+        return val
+
+    full = (1 << len(by_vertex)) - 1
+    worst = 0.0
+    for mask in range(1, full + 1):
+        val = xi_neg(mask)
+        if val <= 0.0:
+            return False, mask, math.nan, mask
+        m = mask
+        while m:
+            low = m & -m
+            pinned = math.log(xi_neg(mask & ~low)) - math.log(val)
+            worst = max(worst, pinned)
+            if pinned > a + 1e-9:
+                return False, mask, worst, None
+            m ^= low
+    return True, full, worst, None
+
+
 def random_system(rng: random.Random, m: int, p: float = 0.4) -> PL.PolymerSystem:
     ids = list(range(m))
     acts = {i: rng.uniform(0.05, 0.8) for i in ids}
@@ -142,6 +204,82 @@ class TestClusterExpansion:
             lg = PL.cluster_log_truncated(s, order=4)
             xi = PL.xi_polynomial(s).truncated(4)
             assert exp_series(lg, 4).truncated(4) == xi
+
+
+class TestPhiTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_graph_matches_the_partition_formula(self, n):
+        table = PL._phi_table(n)
+        pairs = n * (n - 1) // 2
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == [partition_phi(n, [mask >> k & 1 for k in range(pairs)])
+                                  for mask in range(1 << pairs)]
+
+    def test_sampled_graphs_at_six(self):
+        rng = random.Random(6)
+        table = PL._phi_table(6)
+        for mask in [0, (1 << 15) - 1] + [rng.getrandbits(15) for _ in range(150)]:
+            assert table[mask] == partition_phi(6, [mask >> k & 1 for k in range(15)]), mask
+
+
+class TestClusterSeriesOracle:
+    def test_random_systems(self):
+        rng = random.Random(19)
+        for trial in range(60):
+            m = 1 + trial % 9
+            s = random_system(rng, m, p=rng.choice([0.2, 0.5, 0.8]))
+            order = rng.randint(1, 6 if m <= 7 else 5)
+            got = PL.cluster_log_truncated(s, order=order)
+            assert got.terms == cluster_log_oracle(s, s.polymers, order), (m, order)
+
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    def test_domino_block(self, order):
+        s = PL.domino_system(2, 2)
+        assert PL.cluster_log_truncated(s, order=order).terms == \
+            cluster_log_oracle(s, s.polymers, order)
+
+    def test_triangular_region_at_order_five(self):
+        s = PL.triangular_window(2)
+        region = sorted(s.polymers, key=lambda p: (abs(p[0]) + abs(p[1]), p))[:12]
+        got = PL.cluster_log_truncated(s, region, 5)
+        assert len(got.terms) == 1390
+        assert got.terms == cluster_log_oracle(s, region, 5)
+
+
+class TestUnknownPolymers:
+    """A polymer that is not in the system is named in one ValueError."""
+
+    SYS = PL.PolymerSystem({"a": 0.5, "b": 0.25}, [("a", "b")])
+
+    def test_partition_function(self):
+        with pytest.raises(ValueError, match="polymer 'zz' is not in the system"):
+            PL.partition_function(self.SYS, ["a", "zz"])
+
+    def test_xi_polynomial(self):
+        with pytest.raises(ValueError, match="polymer 'zz' is not in the system"):
+            PL.xi_polynomial(self.SYS, ["zz"])
+
+    def test_cluster_log_truncated(self):
+        with pytest.raises(ValueError, match="polymer 'zz' is not in the system"):
+            PL.cluster_log_truncated(self.SYS, ["b", "zz"], order=2)
+
+    def test_pinned_series(self):
+        with pytest.raises(ValueError, match="polymer 'zz' is not in the system"):
+            PL.pinned_series(self.SYS, "zz", 2, 0.1)
+
+
+def test_polymer_imports_nothing_from_ursell():
+    # the cluster series rests on no Ursell route, so the partition formula
+    # stays an independent check of it
+    tree = ast.parse(Path(PL.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        else:
+            continue
+        assert "ursell" not in names, ast.dump(node)
 
 
 class TestPinnedSeries:
@@ -455,6 +593,57 @@ class TestSubsetGas:
         s = PL.subset_gas_system(["x", "y"], {frozenset({"x"}): 3.0, frozenset({"y"}): 3.0})
         rep = PL.subset_gas_check(s)
         assert not rep.condition.satisfied and not rep
+
+    def test_random_gases_match_the_memo_recursion(self):
+        rng = random.Random(1913)
+        for trial in range(240):
+            nv = 1 + trial % 12
+            size = rng.randint(1, min(3, nv))
+            count = rng.randint(1, min(16, sum(math.comb(nv, k) for k in range(1, size + 1))))
+            a = rng.choice([0.05, 0.3, math.log(2.0), 1.0])
+            s = PL.random_subset_gas(list(range(nv)), count, size, rng, a=a)
+            rep = PL.subset_gas_check(s, a)
+            vertices = sorted({x for g in s.polymers for x in g}, key=repr)
+            by_vertex = [[] for _ in vertices]
+            for g in s.polymers:
+                by_vertex[min(vertices.index(x) for x in g)].append(
+                    (sum(1 << vertices.index(x) for x in g), s.activity[g]))
+            verified, checked, worst, zero = induction_oracle(by_vertex, a)
+            crossing = None if zero is None else frozenset(
+                x for k, x in enumerate(vertices) if zero >> k & 1)
+            assert repr((rep.verified, rep.checked_volumes, rep.max_pinned_sum,
+                         rep.zero_crossing)) == repr((verified, checked, worst, crossing))
+
+    def test_failure_branches_match_the_memo_recursion(self):
+        # activities past the condition, fed to the induction directly: each
+        # kind of outcome must occur and repeat the recursion's report
+        rng = random.Random(1917)
+        kinds = Counter()
+        for trial in range(300):
+            nv = 1 + trial % 10
+            a = rng.choice([0.05, 0.3, math.log(2.0), 1.0])
+            by_vertex = [[] for _ in range(nv)]
+            for _ in range(rng.randint(1, 2 * nv)):
+                mask = rng.randint(1, (1 << nv) - 1)
+                by_vertex[(mask & -mask).bit_length() - 1].append(
+                    (mask, rng.uniform(0.0, rng.choice([0.2, 0.6, 1.2]))))
+            got = PL._subset_gas_induction(by_vertex, a)
+            want = induction_oracle(by_vertex, a)
+            assert repr(got) == repr(want), (trial, got, want)
+            kinds["verified" if got[0] else "pinned" if got[3] is None else "zero"] += 1
+        assert min(kinds[k] for k in ("verified", "pinned", "zero")) >= 20, kinds
+
+    @pytest.mark.parametrize("by_vertex, a, want", [
+        ([[(1, 1.0)]], 0.3, (False, 1, math.nan, 1)),  # Xi({x}) = 0
+        ([[(1, 0.6)]], 0.3, (False, 1, -math.log(0.4), None)),  # pinned sum 0.916 > a
+        ([[(1, 0.1), (3, 0.85)], [(2, 0.1)]], 0.3,  # Xi({x, y}) = 0.9 - 0.09 - 0.85 < 0
+         (False, 3, math.nan, 3)),
+        ([[(1, 0.1)], [(2, 0.5)]], 0.3,  # the first pass is at {y}; {x} stays below it
+         (False, 2, -math.log(0.5), None)),
+    ])
+    def test_crafted_failures(self, by_vertex, a, want):
+        assert repr(PL._subset_gas_induction(by_vertex, a)) == repr(want)
+        assert repr(induction_oracle(by_vertex, a)) == repr(want)
 
 
 class TestBoundsCatalog:
