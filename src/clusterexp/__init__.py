@@ -10,6 +10,7 @@ polymer     abstract polymer gas, convergence criteria, bound catalog
 ising       2D Ising sums, both polymer expansions, duality, thresholds
 hardsphere  overlap integrals and the improved planar radius bound
 cli         command-line interface over all of the above
+oracles     scalar reference implementations for the tests; the package does not import it
 """
 
 from . import graphs, hardsphere, ising, mayer, polymer, potentials, ursell

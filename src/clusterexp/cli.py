@@ -228,8 +228,10 @@ def _cmd_potentials(args) -> int:
 def _cmd_mayer(args) -> int:
     if args.action == "coefficients":
         if args.grid:
-            w, h = (int(x) for x in args.grid.split("x"))
-            vol = mayer.DiscreteVolume.grid(w, h)
+            w, _, h = args.grid.partition("x")
+            if not (w.isdecimal() and h.isdecimal()):
+                raise ValueError(f"--grid {args.grid!r} is not of the form WxH")
+            vol = mayer.DiscreteVolume.grid(int(w), int(h))
         else:
             vol = mayer.DiscreteVolume.path(args.path)
         spec = _spec_from_args(args)

@@ -3,17 +3,17 @@
 A graph on [n] is an edge subset of the n(n-1)/2 vertex pairs, encoded as a
 bitmask over the pairs in lexicographic order.  The connected masks are
 built from the graphs on one vertex fewer: a star at vertex 0 joins a graph
-on {1..n-1} exactly when it meets each of its components, and the scalar BFS
-``is_connected`` stays their oracle.  Trees are produced through the
-Pruefer bijection, which guarantees exactly n^(n-2) of them: ``tree_table``
-decodes every sequence at once into numpy columns (mask, parent, depth, pair
-indices).  Two maps from rooted trees to connected graphs are provided -- the
-depth-rule closure of a rooted tree and the minimum-spanning-tree closure
-induced by a total edge order -- each twice: as a scalar closure of one tree,
-the oracle, and as a boolean closure-minus-tree array over the rows of the
-table (``penrose_added``, ``kruskal_added``).  Such an array is a partition
+on {1..n-1} exactly when it meets each of its components.  Trees are
+produced through the Pruefer bijection, which guarantees exactly n^(n-2) of
+them: ``tree_table`` decodes every sequence at once into numpy columns
+(mask, parent, depth, pair indices).  Two maps from rooted trees to
+connected graphs are provided -- the depth-rule closure of a rooted tree and
+the minimum-spanning-tree closure induced by a total edge order -- as
+boolean closure-minus-tree arrays over the rows of the table
+(``penrose_added``, ``kruskal_added``).  Such an array is a partition
 scheme; ``verify_partition_scheme`` checks that its boolean intervals
-[tree, closure(tree)] partition the connected graphs.
+[tree, closure(tree)] partition the connected graphs.  Their scalar oracles
+live in ``oracles``.
 
 Vertices are 0-indexed and rooted trees are rooted at vertex 0.  The sizes
 are capped by the module constants ``GRAPH_CAP`` and ``TREE_CAP``, read when
@@ -22,10 +22,9 @@ a table is built: a session may raise them, after clearing the cache.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -113,71 +112,6 @@ class LabeledGraph:
     def to_text(self) -> str:
         return f"{self.n};" + ",".join(f"{i}-{j}" for i, j in self.edges)
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-
-def parse_graph(text: str) -> LabeledGraph:
-    """Parse "n;i-j,k-l,..." or the bitmask hex form "n;0x1a"."""
-    head, _, body = text.strip().partition(";")
-    n = int(head)
-    body = body.strip()
-    if not body:
-        return LabeledGraph(n, 0)
-    if body.startswith(("0x", "0X")):
-        return LabeledGraph(n, int(body, 16))
-    edges = []
-    for item in body.split(","):
-        i, _, j = item.strip().partition("-")
-        edges.append((int(i), int(j)))
-    return LabeledGraph.from_edges(n, edges)
-
-
-def _adjacency_bitsets(n: int, mask: int) -> list[int]:
-    adj = [0] * n
-    ps = vertex_pairs(n)
-    for k in mask_bits(mask):
-        i, j = ps[k]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
-
-
-def _mask_connected(n: int, mask: int, adj: Sequence[int] | None = None) -> bool:
-    if n <= 1:
-        return True
-    if mask.bit_count() < n - 1:
-        return False
-    if adj is None:
-        adj = _adjacency_bitsets(n, mask)
-    seen = 1
-    frontier = 1
-    full = (1 << n) - 1
-    while frontier:
-        nxt = 0
-        for v in mask_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        if seen == full:
-            return True
-    return False
-
-
-def is_connected(g: LabeledGraph) -> bool:
-    """Single connected component spanning all n vertices."""
-    return _mask_connected(g.n, g.mask)
-
-
-def enumerate_graphs(n: int) -> Iterator[LabeledGraph]:
-    """All 2^(n(n-1)/2) graphs on [n], each once, in bitmask order."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > GRAPH_CAP:
-        raise CapExceededError(f"graph enumeration refused for n={n}: cap is {GRAPH_CAP}")
-    for mask in range(1 << num_pairs(n)):
-        yield LabeledGraph(n, mask)
-
 
 def _components(m: int, masks: np.ndarray) -> np.ndarray:
     """comp[v, g]: the component of vertex v in the graph ``masks[g]`` on [m],
@@ -238,7 +172,7 @@ def connected_masks(n: int) -> np.ndarray:
 
 
 def count_connected(n: int) -> int:
-    """Exact number of connected graphs on [n], by brute-force filtering."""
+    """Exact number of connected graphs on [n], the length of ``connected_masks(n)``."""
     if n < 2:
         raise ValueError("need n >= 2")
     return len(connected_masks(n))
@@ -254,118 +188,6 @@ def alternating_connected_sum(n: int) -> int:
     masks = connected_masks(n)
     odd = int(np.count_nonzero(np.bitwise_count(masks) & 1))
     return len(masks) - 2 * odd
-
-
-class RootedTree:
-    """Tree on [n] rooted at 0, with parent/depth/children derived maps."""
-
-    __slots__ = ("n", "mask", "root", "parent", "depth", "children")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | None = None, mask: int | None = None):
-        self.n = n
-        self.root = 0
-        if mask is None:
-            mask = LabeledGraph.from_edges(n, edges or []).mask
-        self.mask = mask
-        if mask.bit_count() != n - 1:
-            raise ValueError(f"a tree on [{n}] must have exactly {n - 1} edges")
-        adj = _adjacency_bitsets(n, mask)
-        parent = [-1] * n
-        depth = [-1] * n
-        depth[0] = 0
-        order = [0]
-        seen = 1
-        for v in order:
-            nbrs = adj[v] & ~seen
-            seen |= nbrs
-            for w in mask_bits(nbrs):
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                order.append(w)
-        if len(order) != n:
-            raise ValueError("edge set is not connected, hence not a tree")
-        self.parent = tuple(parent)
-        self.depth = tuple(depth)
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for v in range(1, n):
-            kids[parent[v]].append(v)
-        self.children = tuple(tuple(k) for k in kids)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return LabeledGraph(self.n, self.mask).edges
-
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
-
-    def as_graph(self) -> LabeledGraph:
-        return LabeledGraph(self.n, self.mask)
-
-    def path_pairs(self, i: int, j: int) -> list[tuple[int, int]]:
-        """Edges of the unique tree path between i and j."""
-        pi, pj = [], []
-        di, dj = self.depth[i], self.depth[j]
-        while di > dj:
-            pi.append((i, self.parent[i]))
-            i = self.parent[i]
-            di -= 1
-        while dj > di:
-            pj.append((j, self.parent[j]))
-            j = self.parent[j]
-            dj -= 1
-        while i != j:
-            pi.append((i, self.parent[i]))
-            pj.append((j, self.parent[j]))
-            i, j = self.parent[i], self.parent[j]
-        return pi + pj[::-1]
-
-    def __eq__(self, other):
-        return isinstance(other, RootedTree) and self.n == other.n and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((self.n, self.mask))
-
-    def __repr__(self):
-        return f"RootedTree({self.as_graph().to_text()!r})"
-
-
-def prufer_to_tree(n: int, seq: Sequence[int]) -> RootedTree:
-    """Decode a Pruefer sequence over [n]^(n-2) into the corresponding tree.
-
-    Linear-time decode: repeatedly attach the smallest remaining leaf to the
-    next sequence value.
-    """
-    if n == 1:
-        return RootedTree(1, mask=0)
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length must be n-2 = {n - 2}")
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    ptr = 0
-    leaf = -1
-    for v in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        edges.append((min(leaf, v), max(leaf, v)))
-        degree[leaf] -= 1
-        degree[v] -= 1
-        # a vertex the scan already passed must be reused at once
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    u, w = (v for v in range(n) if degree[v] == 1)
-    edges.append((min(u, w), max(u, w)))
-    return RootedTree(n, edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,7 +247,7 @@ def _prufer_decode(n: int, codes: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def tree_table(n: int) -> TreeTable:
     """All n^(n-2) trees on [n] in Pruefer-sequence order (the order of
-    ``prufer_to_tree`` over the sequences in lexicographic order), built once
+    ``oracles.prufer_trees``: the sequences in lexicographic order), built once
     per n by a vectorised Pruefer decode, MASK_CHUNK codes at a time."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -467,45 +289,6 @@ def tree_table(n: int) -> TreeTable:
     return TreeTable(n, mask, parent, depth, pairs)
 
 
-def tree_count_by_degrees(degrees: Sequence[int]) -> int:
-    """Number of labelled trees with the given degree sequence.
-
-    Exact arbitrary-precision value (n-2)! / prod (d_i - 1)!.
-    """
-    n = len(degrees)
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    if any(d < 1 for d in degrees):
-        raise ValueError("every degree must be >= 1")
-    if sum(degrees) != 2 * n - 2:
-        raise ValueError(f"degree sum must be 2n-2 = {2 * n - 2}, got {sum(degrees)}")
-    denom = 1
-    for d in degrees:
-        denom *= math.factorial(d - 1)
-    return math.factorial(n - 2) // denom
-
-
-def penrose_closure(tree: RootedTree) -> LabeledGraph:
-    """Depth-rule closure of a rooted tree: add every pair {i,j} with equal
-    depths, or with depth(j) = depth(i) - 1 and j greater than i's parent."""
-    n = tree.n
-    depth = tree.depth
-    parent = tree.parent
-    mask = tree.mask
-    for k, (i, j) in enumerate(vertex_pairs(n)):
-        bit = 1 << k
-        if mask & bit:
-            continue
-        di, dj = depth[i], depth[j]
-        if di == dj:
-            mask |= bit
-        elif di == dj + 1 and j > parent[i]:
-            mask |= bit
-        elif dj == di + 1 and i > parent[j]:
-            mask |= bit
-    return LabeledGraph(n, mask)
-
-
 @dataclass(frozen=True)
 class EdgeOrder:
     """Strict total order on the pairs of [n]; rank 0 is the lowest edge."""
@@ -537,47 +320,6 @@ class EdgeOrder:
 
     def rank(self, i: int, j: int) -> int:
         return self.ranks[pair_index(self.n, i, j)]
-
-
-def kruskal_tree(g: LabeledGraph, order: EdgeOrder) -> RootedTree:
-    """Minimum spanning tree of a connected graph under the total edge order,
-    built greedily: always take the lowest edge not creating a cycle."""
-    n = g.n
-    edges = sorted(g.edges, key=lambda e: order.rank(*e))
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append((i, j))
-            if len(chosen) == n - 1:
-                break
-    if len(chosen) != n - 1:
-        raise ValueError("graph is disconnected: no spanning tree exists")
-    return RootedTree(n, chosen)
-
-
-def kruskal_closure(tree: RootedTree, order: EdgeOrder) -> LabeledGraph:
-    """Closure of a tree under the order: the tree plus every pair strictly
-    above all edges of the tree path joining its endpoints."""
-    n = tree.n
-    mask = tree.mask
-    for k, (i, j) in enumerate(vertex_pairs(n)):
-        bit = 1 << k
-        if mask & bit:
-            continue
-        r = order.rank(i, j)
-        if all(r > order.rank(*e) for e in tree.path_pairs(i, j)):
-            mask |= bit
-    return LabeledGraph(n, mask)
 
 
 @lru_cache(maxsize=None)
@@ -646,7 +388,7 @@ def _interval_members(mask: np.ndarray, added: np.ndarray, sizes: np.ndarray) ->
     log2(MASK_CHUNK) added pairs at once and loops over the subsets of the
     rest."""
     bits = np.left_shift(1, np.arange(added.shape[1], dtype=np.int64))
-    for s in np.unique(sizes).tolist():
+    for s in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == s)
         low = min(s, MASK_CHUNK.bit_length() - 1)
         for lo in range(0, group.size, MASK_CHUNK >> low):

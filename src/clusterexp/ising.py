@@ -2,42 +2,38 @@
 
 Everything is desk scale and cross-checked three ways.  A transfer over the
 sites of the L x L box in row-major order, with the last row of spins as its
-state, gives per boundary the exact integer density of states of all
-2^(L^2) spin configurations; a plain sweep over the configurations is kept as
-its oracle.  At any beta the partition function and the magnetization are
-exactly rounded sums over its bins, so the spin-flip symmetries hold bit for
-bit.  The partition function is reproduced at high temperature from the
-even subgraphs of the box (spanned by the plaquette
+state, gives per boundary the exact integer density of states of all 2^(L^2)
+spin configurations; its oracle, a plain sweep over the configurations,
+lives in ``oracles``.  At any beta the partition function and the
+magnetization are exactly rounded sums over its bins, so the spin-flip
+symmetries hold bit for bit.  The partition function is reproduced at high
+temperature from the even subgraphs of the box (spanned by the plaquette
 cycle basis, 2^((L-1)^2) elements) and at low temperature from the contour
 representation under + boundary (every configuration maps to a family of
-dual-lattice contours and back).  The duality map phi(beta) = -ln(tanh beta)/2 exchanges the two
-activities on the same animal family; its fixed point is the critical
-coupling ln(1 + sqrt 2)/2.
+dual-lattice contours and back).  The duality map
+phi(beta) = -ln(tanh beta)/2 exchanges the two activities on the same animal
+family; its fixed point is the critical coupling ln(1 + sqrt 2)/2.
 
 The box side is capped by module constants, read when a table is built:
 ``TRANSFER_CAP`` for the transfer behind the partition function, the contour
-sum and the magnetization, ``BRUTE_CAP`` for the oracle sweep,
-``HIGH_T_CAP`` for the even subgraphs.  J = 1 by convention throughout: beta
-carries the scale.
+sum and the magnetization, ``HIGH_T_CAP`` for the even subgraphs.  J = 1
+by convention throughout: beta carries the scale.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .graphs import MASK_CHUNK, CapExceededError
+from .graphs import CapExceededError
 from .mayer import bisect_root
 
 TRANSFER_CAP = 7  # the density-of-states transfer places L^2 sites over 2^L frontier states
-BRUTE_CAP = 5   # the oracle sweep visits 2^(L^2) configurations
 HIGH_T_CAP = 6  # the even-subgraph walk visits 2^((L-1)^2) cycle-space elements
 ANIMAL_A = 0.21  # the weight e^(a|g|) of the animal counting conditions
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _site(r: int, c: int, L: int) -> int:
@@ -66,12 +62,6 @@ def boundary_multiplicity(L: int) -> list[int]:
     return mult
 
 
-def _config_chunks(L: int):
-    total = 1 << (L * L)
-    for lo in range(0, total, MASK_CHUNK):
-        yield np.arange(lo, min(lo + MASK_CHUNK, total), dtype=np.uint64)
-
-
 def _outside_bit(boundary: str) -> int | None:
     """Down-bit of the fixed outside spins; None for a free boundary."""
     if boundary not in ("free", "plus", "minus"):
@@ -79,45 +69,10 @@ def _outside_bit(boundary: str) -> int | None:
     return {"free": None, "plus": 0, "minus": 1}[boundary]
 
 
-def _opposite_bond_counts(configs: np.ndarray, L: int, boundary: str) -> np.ndarray:
-    """Per configuration: the number of opposite-spin nearest-neighbour pairs,
-    counting the 4L boundary pairs against fixed outside spins for +/-."""
-    outside = _outside_bit(boundary)
-    opp = np.zeros(configs.shape, dtype=np.int64)
-    for i, j in internal_bonds(L):
-        opp += ((configs >> np.uint64(i)) ^ (configs >> np.uint64(j))).astype(np.int64) & 1
-    if outside is not None:
-        for x, k in enumerate(boundary_multiplicity(L)):
-            if k:
-                bit = (configs >> np.uint64(x)).astype(np.int64) & 1
-                opp += k * (bit ^ outside)
-    return opp
-
-
 def _bins(L: int, boundary: str) -> int:
     """One bin per possible count of opposite pairs: 2L(L-1) internal pairs,
     plus 4L pairs against the outside unless the boundary is free."""
     return 2 * L * (L - 1) + (4 * L if boundary != "free" else 0) + 1
-
-
-def _sweep_density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle of ``_density_of_states``: the same histograms by one sweep
-    over all 2^(L^2) configurations, MASK_CHUNK at a time; refused beyond
-    BRUTE_CAP."""
-    if L < 1:
-        raise ValueError("need L >= 1")
-    if L > BRUTE_CAP:
-        raise CapExceededError(f"configuration sweep capped at L={BRUTE_CAP}")
-    bins = _bins(L, boundary)
-    N = np.zeros(bins, dtype=np.int64)
-    down = np.zeros((L * L, bins), dtype=np.int64)  # configurations with sigma_x = -1
-    for configs in _config_chunks(L):
-        opp = _opposite_bond_counts(configs, L, boundary)
-        N += np.bincount(opp, minlength=bins)
-        for x in range(L * L):
-            bit = (configs >> np.uint64(x)).astype(np.int64) & 1
-            down[x] += np.bincount(opp[bit == 1], minlength=bins)
-    return N, N - 2 * down
 
 
 @lru_cache(maxsize=None)
@@ -216,6 +171,8 @@ def even_subgraph_size_counts(L: int) -> tuple[int, ...]:
     """count[m] = number of even-degree edge subsets of the L x L box with m
     edges, generated as the span of the (L-1)^2 plaquette cycles; computed
     once per L."""
+    if L < 1:
+        raise ValueError("need L >= 1")
     if L > HIGH_T_CAP:
         raise CapExceededError(f"even-subgraph enumeration capped at L={HIGH_T_CAP}")
     eidx = _edge_index(L)

@@ -88,8 +88,11 @@ def system_from_adjacency_text(text: str) -> PolymerSystem:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        ident, nbrs, act = (part.strip() for part in line.split(";"))
-        entries.append((ident, nbrs.split(), float(act)))
+        try:
+            ident, nbrs, act = (part.strip() for part in line.split(";"))
+            entries.append((ident, nbrs.split(), float(act)))
+        except ValueError:
+            raise ValueError(f"{line!r} is not of the form id ; neighbors ; activity") from None
     for ident, _, act in entries:
         activities[ident] = act
     for ident, nbrs, _ in entries:

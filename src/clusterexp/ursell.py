@@ -126,15 +126,21 @@ class InteractionMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "InteractionMatrix":
-        """Parse the "n; i j v" triplet form; "inf" is accepted for +inf."""
+        """Parse the "n; i j v" triplet form ("inf" is +inf); a bad item is refused by name."""
         tokens = text.replace(";", "\n").split("\n")
         tokens = [t.strip() for t in tokens if t.strip()]
-        n = int(tokens[0])
+        head = tokens[0] if tokens else ""
+        if not head.isdecimal():
+            raise ValueError(f'{head!r} is not a vertex count: expected "n; i j v; ..."')
+        n = int(head)
         values = {}
         for line in tokens[1:]:
-            i_s, j_s, v_s = line.split()
-            v = INF if v_s.lower() in ("inf", "+inf", "infinity") else float(v_s)
-            values[(int(i_s), int(j_s))] = v
+            try:
+                i_s, j_s, v_s = line.split()
+                v = INF if v_s.lower() in ("inf", "+inf", "infinity") else float(v_s)
+                values[(int(i_s), int(j_s))] = v
+            except ValueError:
+                raise ValueError(f"{line!r} is not of the form i j v") from None
         return cls(n, values)
 
     def __repr__(self):
@@ -421,18 +427,3 @@ def tree_family_counts(incompatible, n_vertices: int, root: int = 0) -> dict[str
         pen += int(np.count_nonzero(ok & ~(penrose[rows] & inc).any(axis=1)))
     # distinct vertices are distinct polymers, so dobrushin equals kp
     return {"penrose": pen, "weak": weak, "dobrushin": kp, "kp": kp}
-
-
-def penrose_exponent_minimum(V: InteractionMatrix) -> float:
-    """Smallest closure-exponent sum over all depth-rule trees.
-
-    Search harness for the open question whether the depth-rule closure
-    admits a stability bound: returns min over trees of
-    sum of V_ij over closure-minus-tree pairs (ignoring +inf, which only
-    helps).  Nothing is asserted about boundedness; callers can watch the
-    minimum as n grows.
-    """
-    finite = np.array([0.0 if v == INF else v for v in V.pair_values])
-    penrose = _penrose_tree_table(V.n)
-    return min(float((penrose[rows] @ finite).min())
-               for rows in tree_table(V.n).chunks())

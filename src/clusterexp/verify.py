@@ -115,7 +115,7 @@ def combinatorics_suite(max_n: int = 5, seed: int = 0) -> list[CheckResult]:
     results = []
     for n in range(2, max_n + 1):
         masks = G.tree_table(n).mask
-        distinct = np.unique(masks).size
+        distinct = len(set(masks.tolist()))
         spanning = bool((np.bitwise_count(masks) == n - 1).all()
                         and np.isin(masks, G.connected_masks(n)).all())
         results.append(CheckResult(

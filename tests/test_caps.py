@@ -7,6 +7,7 @@ import pytest
 from clusterexp import graphs as G
 from clusterexp import ising as I
 from clusterexp import mayer as M
+from clusterexp import oracles as O
 from clusterexp import polymer as PL
 from clusterexp import potentials as P
 from clusterexp import ursell as U
@@ -19,12 +20,12 @@ def free_polymers(count):
 REFUSALS = [
     ("graphs-connected", lambda: G.count_connected(G.GRAPH_CAP + 1), "cap is 7"),
     ("graphs-trees", lambda: G.tree_table(G.TREE_CAP + 1), "cap is 9"),
-    ("graphs-enumerate", lambda: next(G.enumerate_graphs(G.GRAPH_CAP + 1)), "cap is 7"),
+    ("graphs-enumerate", lambda: next(O.enumerate_graphs(G.GRAPH_CAP + 1)), "cap is 7"),
     ("graphs-alternating", lambda: G.alternating_connected_sum(G.GRAPH_CAP + 1), "cap is 7"),
     ("graphs-verify-scheme",
      lambda: G.verify_partition_scheme(G.GRAPH_CAP + 1, np.zeros((0, 0), dtype=bool)), "cap is 7"),
     ("ising-brute-force", lambda: I.brute_force_Z(I.TRANSFER_CAP + 1, 0.3), "capped at L=7"),
-    ("ising-sweep", lambda: I._sweep_density_of_states(I.BRUTE_CAP + 1, "free"),
+    ("ising-sweep", lambda: O._sweep_density_of_states(O.BRUTE_CAP + 1, "free"),
      "capped at L=5"),
     ("ising-even-subgraphs", lambda: I.even_subgraph_size_counts(I.HIGH_T_CAP + 1),
      "capped at L=6"),

@@ -308,9 +308,24 @@ class TestHarness:
          "A must be a number"),
         (["potentials", "integrals", "--family", "lj_type", "--params", "c2=5", "eps=3", "a=0.5",
           "--beta", "3"], "overflows a float"),
+        (["ising", "duality", "--L", "0"], "need L >= 1"),
+        (["ising", "duality", "--L", "-3"], "need L >= 1"),
+        (["mayer", "coefficients", "--grid", "3"], "--grid '3' is not of the form WxH"),
+        (["mayer", "coefficients", "--grid", "3x"], "--grid '3x' is not of the form WxH"),
+        (["mayer", "coefficients", "--grid", "2x2x2"], "--grid '2x2x2' is not of the form WxH"),
+        (["ursell", "--matrix", "3; 0 1"], "'0 1' is not of the form i j v"),
+        (["ursell", "--matrix", "3; 0 1 1 2"], "'0 1 1 2' is not of the form i j v"),
+        (["ursell", "--matrix", "x; 0 1 1"], "'x' is not a vertex count"),
+        (["ursell", "--matrix", ";"], "'' is not a vertex count"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
+
+    def test_malformed_system_file_line_exit_2_one_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.sys"
+        path.write_text("a ; b ; 0.5\nb ; a\n")
+        assert_usage_error(capsys, ["polymer", "partition", "--system-file", str(path)],
+                           "'b ; a' is not of the form id ; neighbors ; activity")
 
     @pytest.mark.parametrize("argv", [
         ["--L", "4", "--beta", "30"],
@@ -381,6 +396,20 @@ class TestHarness:
                               timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_scheme_and_verify_commands_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, which keeps about 1 MiB
+        script = ("import sys\n"
+                  "from clusterexp import cli\n"
+                  "for argv in ('graphs verify-scheme --n 5', 'verify --max-n 5'):\n"
+                  "    assert cli.main(argv.split()) == 0, argv\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        path = [str(Path(P.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_empty_csv_is_header_only(self, capsys):
         assert main(["verify", "--max-n", "1", "--format", "csv"]) == 0

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterexp import graphs as G
+from clusterexp import oracles as O
+from clusterexp.oracles import prufer_trees
 
 
 def connected_count_recurrence(n: int) -> int:
@@ -49,17 +50,17 @@ def connected_edge_polynomials(n: int) -> dict[int, list[int]]:
 
 class TestEnumeration:
     def test_graph_counts(self):
-        assert sum(1 for _ in G.enumerate_graphs(2)) == 2
-        assert sum(1 for _ in G.enumerate_graphs(3)) == 8
-        assert sum(1 for _ in G.enumerate_graphs(4)) == 64
+        assert sum(1 for _ in O.enumerate_graphs(2)) == 2
+        assert sum(1 for _ in O.enumerate_graphs(3)) == 8
+        assert sum(1 for _ in O.enumerate_graphs(4)) == 64
 
     def test_bitmask_order_and_distinct(self):
-        masks = [g.mask for g in G.enumerate_graphs(3)]
+        masks = [g.mask for g in O.enumerate_graphs(3)]
         assert masks == sorted(masks) == list(range(8))
 
     def test_cap_refused(self):
         with pytest.raises(G.CapExceededError, match="cap"):
-            list(G.enumerate_graphs(9))
+            list(O.enumerate_graphs(9))
         with pytest.raises(G.CapExceededError):
             G.count_connected(8)
 
@@ -67,15 +68,15 @@ class TestEnumeration:
 class TestConnectivity:
     def test_path_connected(self):
         g = G.LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
-        assert G.is_connected(g)
+        assert O.is_connected(g)
 
     def test_isolated_vertex(self):
         g = G.LabeledGraph.from_edges(3, [(0, 1)])
-        assert not G.is_connected(g)
+        assert not O.is_connected(g)
 
     def test_two_components(self):
         g = G.LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
-        assert not G.is_connected(g)
+        assert not O.is_connected(g)
 
     def test_connected_counts(self):
         assert G.count_connected(2) == 1
@@ -94,7 +95,7 @@ class TestConnectivity:
     def test_table_matches_scalar_filter(self, n):
         table = G.connected_masks(n)
         assert table.dtype == np.int64 and not table.flags.writeable
-        scalar = [m for m in range(1 << G.num_pairs(n)) if G._mask_connected(n, m)]
+        scalar = [m for m in range(1 << G.num_pairs(n)) if O._mask_connected(n, m)]
         assert table.tolist() == scalar
 
     def test_edge_histogram_matches_polynomial_recurrence(self):
@@ -139,37 +140,31 @@ class TestTrees:
     @settings(max_examples=60, deadline=None)
     def test_prufer_decode_is_a_tree(self, n, data):
         seq = data.draw(st.tuples(*[st.integers(0, n - 1)] * (n - 2)))
-        t = G.prufer_to_tree(n, seq)
+        t = O.prufer_to_tree(n, seq)
         g = t.as_graph()
         assert g.edge_count == n - 1
-        assert G.is_connected(g)
+        assert O.is_connected(g)
         assert sum(t.degrees()) == 2 * n - 2
         assert all(1 <= d <= n - 1 for d in t.degrees())
 
     def test_degree_formula_examples(self):
-        assert G.tree_count_by_degrees((1, 1, 1, 3)) == 1
-        assert G.tree_count_by_degrees((1, 1, 2, 2)) == 2
-        assert G.tree_count_by_degrees((1, 1, 2)) == 1
+        assert O.tree_count_by_degrees((1, 1, 1, 3)) == 1
+        assert O.tree_count_by_degrees((1, 1, 2, 2)) == 2
+        assert O.tree_count_by_degrees((1, 1, 2)) == 1
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_degree_formula_vs_filter(self, n):
         by_deg = Counter(t.degrees() for t in prufer_trees(n))
         for degs, cnt in by_deg.items():
-            assert G.tree_count_by_degrees(degs) == cnt
+            assert O.tree_count_by_degrees(degs) == cnt
         # the formula also sums back to the total
         assert sum(by_deg.values()) == n ** (n - 2)
 
     def test_degree_formula_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="degree sum"):
-            G.tree_count_by_degrees((1, 1, 1, 1))
+            O.tree_count_by_degrees((1, 1, 1, 1))
         with pytest.raises(ValueError, match=">= 1"):
-            G.tree_count_by_degrees((0, 2, 2, 2))
-
-
-def prufer_trees(n):
-    """Oracle side: every Pruefer sequence decoded by the scalar decoder, whose
-    RootedTree runs its own BFS."""
-    return [G.prufer_to_tree(n, seq) for seq in product(range(n), repeat=max(n - 2, 0))]
+            O.tree_count_by_degrees((0, 2, 2, 2))
 
 
 def pair_flags(n, mask):
@@ -201,7 +196,7 @@ class TestTreeTable:
     def test_penrose_added_matches_closure(self, n):
         added = G.penrose_added(n)
         assert added.dtype == bool and not added.flags.writeable
-        expect = [pair_flags(n, G.penrose_closure(r).mask ^ r.mask) for r in prufer_trees(n)]
+        expect = [pair_flags(n, O.penrose_closure(r).mask ^ r.mask) for r in prufer_trees(n)]
         assert added.tolist() == expect
 
     @pytest.mark.parametrize("n,orders", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 4), (6, 3), (7, 2)])
@@ -209,7 +204,7 @@ class TestTreeTable:
         rng = random.Random(700 + n)
         ref = prufer_trees(n)
         for order in [G.EdgeOrder.lexicographic(n)] + [random_order(n, rng) for _ in range(orders)]:
-            expect = [pair_flags(n, G.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
+            expect = [pair_flags(n, O.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
             assert G.kruskal_added(order).tolist() == expect
 
     def test_kruskal_added_rows_are_a_slice(self):
@@ -228,7 +223,7 @@ class TestTreeTable:
         for p_inf in (0.3, 0.7):
             w = {p: math.inf if rng.random() < p_inf else 0.0 for p in G.vertex_pairs(n)}
             order = G.EdgeOrder.from_weights(n, w)
-            expect = [pair_flags(n, G.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
+            expect = [pair_flags(n, O.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
             assert G.kruskal_added(order).tolist() == expect
 
     def test_cap_and_size(self):
@@ -240,22 +235,22 @@ class TestTreeTable:
 
 class TestPenroseClosure:
     def test_two_vertices_fixed(self):
-        t = G.RootedTree(2, [(0, 1)])
-        assert G.penrose_closure(t).mask == t.mask
+        t = O.RootedTree(2, [(0, 1)])
+        assert O.penrose_closure(t).mask == t.mask
 
     def test_star_adds_same_generation_edge(self):
-        t = G.RootedTree(3, [(0, 1), (0, 2)])
-        assert G.penrose_closure(t).edges == ((0, 1), (0, 2), (1, 2))
+        t = O.RootedTree(3, [(0, 1), (0, 2)])
+        assert O.penrose_closure(t).edges == ((0, 1), (0, 2), (1, 2))
 
     def test_rooted_path_is_fixed(self):
-        t = G.RootedTree(4, [(0, 1), (1, 2), (2, 3)])
-        assert G.penrose_closure(t).mask == t.mask
+        t = O.RootedTree(4, [(0, 1), (1, 2), (2, 3)])
+        assert O.penrose_closure(t).mask == t.mask
 
     def test_parent_rule(self):
         # 0 - 1, 0 - 2, 2 - 3: vertex 3 has depth 2, vertex 1 depth 1;
         # parent(3) = 2 > 1, so {1,3} is not added; {1,2} is (same depth)
-        t = G.RootedTree(4, [(0, 1), (0, 2), (2, 3)])
-        closed = G.penrose_closure(t)
+        t = O.RootedTree(4, [(0, 1), (0, 2), (2, 3)])
+        closed = O.penrose_closure(t)
         assert closed.has_edge(1, 2)
         assert not closed.has_edge(1, 3)
         assert not closed.has_edge(0, 3)
@@ -265,18 +260,18 @@ class TestKruskal:
     def test_triangle_drops_heaviest(self):
         g = G.LabeledGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         order = G.EdgeOrder.from_weights(3, {(0, 1): 0.1, (0, 2): 0.5, (1, 2): 0.9})
-        t = G.kruskal_tree(g, order)
+        t = O.kruskal_tree(g, order)
         assert set(t.edges) == {(0, 1), (0, 2)}
 
     def test_tree_is_its_own_mst(self):
-        t = G.RootedTree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        t = O.RootedTree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
         order = G.EdgeOrder.lexicographic(5)
-        assert G.kruskal_tree(t.as_graph(), order).mask == t.mask
+        assert O.kruskal_tree(t.as_graph(), order).mask == t.mask
 
     def test_disconnected_rejected(self):
         g = G.LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="disconnected"):
-            G.kruskal_tree(g, G.EdgeOrder.lexicographic(4))
+            O.kruskal_tree(g, G.EdgeOrder.lexicographic(4))
 
     def test_mst_vs_exhaustive_minimum(self):
         # oracle: the spanning tree whose sorted rank sequence is
@@ -288,21 +283,21 @@ class TestKruskal:
             order = G.EdgeOrder.from_weights(n, w)
             mask = rng.randrange(1 << G.num_pairs(n))
             g = G.LabeledGraph(n, mask)
-            if not G.is_connected(g):
+            if not O.is_connected(g):
                 continue
             spanning = []
-            for sub in G.enumerate_graphs(n):
-                if sub.edge_count == n - 1 and sub.mask & ~g.mask == 0 and G.is_connected(sub):
+            for sub in O.enumerate_graphs(n):
+                if sub.edge_count == n - 1 and sub.mask & ~g.mask == 0 and O.is_connected(sub):
                     spanning.append(sub)
             best = min(spanning, key=lambda s: sorted((order.rank(*e) for e in s.edges), reverse=True))
-            assert G.kruskal_tree(g, order).mask == best.mask
+            assert O.kruskal_tree(g, order).mask == best.mask
 
     def test_closure_direct_rule(self):
-        t = G.RootedTree(3, [(0, 1), (1, 2)])
+        t = O.RootedTree(3, [(0, 1), (1, 2)])
         order = G.EdgeOrder.from_weights(3, {(0, 1): 0.2, (1, 2): 0.4, (0, 2): 0.9})
-        assert G.kruskal_closure(t, order).has_edge(0, 2)
+        assert O.kruskal_closure(t, order).has_edge(0, 2)
         order = G.EdgeOrder.from_weights(3, {(0, 1): 0.2, (1, 2): 0.9, (0, 2): 0.4})
-        assert not G.kruskal_closure(t, order).has_edge(0, 2)
+        assert not O.kruskal_closure(t, order).has_edge(0, 2)
 
     def test_interval_property_brute_force(self):
         # every connected g lies between its mst and the mst's closure
@@ -312,8 +307,8 @@ class TestKruskal:
         order = G.EdgeOrder.from_weights(n, w)
         for mask in G.connected_masks(n).tolist():
             g = G.LabeledGraph(n, mask)
-            t = G.kruskal_tree(g, order)
-            closed = G.kruskal_closure(t, order)
+            t = O.kruskal_tree(g, order)
+            closed = O.kruskal_closure(t, order)
             assert g.contains(t.as_graph())
             assert closed.contains(g)
 
@@ -323,8 +318,8 @@ class TestKruskal:
             w = {p: rng.random() for p in G.vertex_pairs(n)}
             order = G.EdgeOrder.from_weights(n, w)
             for t in prufer_trees(n):
-                closed = G.kruskal_closure(t, order)
-                assert G.kruskal_tree(closed, order).mask == t.mask
+                closed = O.kruskal_closure(t, order)
+                assert O.kruskal_tree(closed, order).mask == t.mask
 
 
 class TestPartitionSchemes:
@@ -386,7 +381,7 @@ class TestPartitionSchemes:
         # the smallest lost member, tree(src) + pair, has n edges, so no
         # other interval can hold it
         assert not rep and rep.reason == "a connected graph is uncovered"
-        assert G.is_connected(rep.counterexample)
+        assert O.is_connected(rep.counterexample)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_extra_added_pair_overlaps(self, n):
@@ -429,14 +424,6 @@ class TestPartitionSchemes:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        g = G.LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
-        assert G.parse_graph(g.to_text()).mask == g.mask
-
-    def test_hex_form(self):
-        assert G.parse_graph("3;0x7").mask == 0b111
-        assert G.parse_graph("4;").mask == 0
-
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError, match="self-loop"):
             G.LabeledGraph.from_edges(3, [(1, 1)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clusterexp import ising as I
+from clusterexp import oracles as O
 
 BETAS = (0.1, 0.3, 0.7, 1.2)
 
@@ -28,7 +29,7 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="capped"):
             I.brute_force_Z(I.TRANSFER_CAP + 1, 0.1)
         with pytest.raises(ValueError, match="capped"):
-            I._sweep_density_of_states(I.BRUTE_CAP + 1, "free")
+            O._sweep_density_of_states(O.BRUTE_CAP + 1, "free")
 
     def test_past_the_float_range(self):
         # e^(30 * 24) is past the largest float: Z is inf, and the
@@ -91,7 +92,7 @@ class TestDensityOfStates:
     @pytest.mark.parametrize("boundary", ["free", "plus", "minus"])
     def test_transfer_matches_sweep(self, L, boundary):
         N, M = I._density_of_states(L, boundary)
-        N0, M0 = I._sweep_density_of_states(L, boundary)
+        N0, M0 = O._sweep_density_of_states(L, boundary)
         assert N.dtype == N0.dtype and M.dtype == M0.dtype
         assert np.array_equal(N, N0) and np.array_equal(M, M0)
 
@@ -152,6 +153,13 @@ class TestHighTemperature:
         I.high_T_polymer_Z(4, 0.3)
         I.duality_check(4, 0.3)
         assert I.even_subgraph_size_counts.cache_info().misses == 1
+
+    @pytest.mark.parametrize("L", [0, -2, -3])
+    def test_empty_box_refused(self, L):
+        with pytest.raises(ValueError, match="need L >= 1"):
+            I.even_subgraph_size_counts(L)
+        with pytest.raises(ValueError, match="need L >= 1"):
+            I.high_T_polymer_Z(L, 0.3)
 
 
 class TestLowTemperature:

@@ -1,0 +1,42 @@
+"""The scalar oracles stay apart from the fast routes: ``oracles`` reads no
+fast-route table, and no other module of the package imports ``oracles``."""
+
+import ast
+from pathlib import Path
+
+from clusterexp import oracles as O
+
+PACKAGE = Path(O.__file__).parent
+
+# the shared tables and kernels of the fast routes
+FAST_TABLES = {"tree_table", "connected_masks", "_components", "_prufer_decode", "penrose_added",
+               "kruskal_added", "exact_fsum", "_phi_table", "_grand_partition", "_independence",
+               "_density_of_states"}
+
+
+def test_oracles_name_no_fast_table():
+    # an oracle that read a fast table would share that table's bugs
+    named = set()
+    for node in ast.walk(ast.parse((PACKAGE / "oracles.py").read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert sorted(named & FAST_TABLES) == []
+
+
+def test_package_does_not_import_oracles():
+    # only the tests import the oracles, so no route or command leans on one
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+            else:
+                continue
+            assert "oracles" not in names, (path.name, ast.dump(node))

@@ -711,3 +711,8 @@ class TestAdjacencyText:
     def test_unknown_neighbor_rejected(self):
         with pytest.raises(ValueError, match="never declared"):
             PL.system_from_adjacency_text("a ; zz ; 0.5")
+
+    @pytest.mark.parametrize("line", ["b ; a", "a ; b ; 0.5 ; 1", "a ; b ; x"])
+    def test_malformed_line_rejected_by_name(self, line):
+        with pytest.raises(ValueError, match=f"'{line}' is not of the form id ; neighbors ; activity"):
+            PL.system_from_adjacency_text(f"c ; ; 0.1\n{line}\n")

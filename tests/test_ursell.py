@@ -1,19 +1,19 @@
 import math
 import random
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from clusterexp import graphs as G
+from clusterexp import oracles as O
+from clusterexp.oracles import prufer_trees
 from clusterexp.ursell import (
     INF,
     SUM_PIECE,
     InteractionMatrix,
     StabilityCertificateError,
     exact_fsum,
-    penrose_exponent_minimum,
     tree_family_counts,
     tree_graph_bound,
     ursell_graph_sum,
@@ -104,9 +104,9 @@ class TestThreeWayAgreement:
         rng = random.Random(7)
         V = random_matrix(4, rng)
         with pytest.raises(ValueError, match="unknown scheme"):
-            ursell_tree_identity(V, G.penrose_closure)
+            ursell_tree_identity(V, O.penrose_closure)
         a = ursell_graph_sum(V)
-        c = scalar_tree_sum(V, G.penrose_closure)
+        c = scalar_tree_sum(V, O.penrose_closure)
         assert abs(a - c) <= 1e-12 * max(abs(a), 1e-30)
 
 
@@ -191,23 +191,6 @@ class TestPenroseTreeCount:
             assert c["penrose"] <= c["weak"] <= c["dobrushin"] <= c["kp"]
 
 
-class TestClosureExponentSearch:
-    def test_zero_for_nonnegative(self):
-        rng = random.Random(5)
-        vals = {p: rng.uniform(0.0, 1.0) for p in G.vertex_pairs(4)}
-        assert penrose_exponent_minimum(InteractionMatrix(4, vals)) >= 0.0
-
-    def test_picks_up_negative_pairs(self):
-        V = InteractionMatrix(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): -2.0})
-        assert penrose_exponent_minimum(V) <= 0.0
-
-
-@lru_cache(maxsize=None)
-def prufer_trees(n):
-    """Oracle side: the scalar Pruefer decoder, whose RootedTree runs its BFS."""
-    return tuple(G.prufer_to_tree(n, seq) for seq in product(range(n), repeat=max(n - 2, 0)))
-
-
 def scalar_tree_sum(V, closure):
     """The tree identity written out tree by tree through a scalar closure:
     prod over tree pairs of w_ij times exp(-sum of V_ij over the added
@@ -238,8 +221,8 @@ class TestTreeTableRoutes:
             for V in (random_hardcore(n, rng, p_inf=0.6),
                       random_matrix(n, rng, p_inf=0.3, lo=-0.5, hi=2.0)):
                 order = G.EdgeOrder.from_weights(n, V.value)
-                pairs = (("penrose", G.penrose_closure),
-                         ("kruskal", lambda t: G.kruskal_closure(t, order)))
+                pairs = (("penrose", O.penrose_closure),
+                         ("kruskal", lambda t: O.kruskal_closure(t, order)))
                 for name, closure in pairs:
                     table, scalar = ursell_tree_identity(V, name), scalar_tree_sum(V, closure)
                     if V.is_hard_core:
@@ -254,14 +237,14 @@ class TestTreeTableRoutes:
         for _ in range(5):
             V = random_matrix(n, rng, p_inf=0.3)
             order = G.EdgeOrder.from_weights(n, V.value)
-            for name, closure in (("penrose", G.penrose_closure),
-                                  ("kruskal", lambda t: G.kruskal_closure(t, order))):
+            for name, closure in (("penrose", O.penrose_closure),
+                                  ("kruskal", lambda t: O.kruskal_closure(t, order))):
                 assert ursell_tree_identity(V, name) == pytest.approx(scalar_tree_sum(V, closure),
                                                                       rel=1e-12)
 
     def test_unknown_scheme_refused_at_every_n(self):
         for n in (1, 2, 3):
-            for scheme in ("bogus", G.penrose_closure, lambda t: t.as_graph()):
+            for scheme in ("bogus", O.penrose_closure, lambda t: t.as_graph()):
                 with pytest.raises(ValueError, match="unknown scheme"):
                     ursell_tree_identity(InteractionMatrix(n, {}), scheme)
 
@@ -288,7 +271,7 @@ class TestTreeTableRoutes:
                 expect["dobrushin"] += 1
                 expect["weak"] += not any(bad(i, j) for kids in tree.children
                                           for i, j in combinations(kids, 2))
-                added = G.penrose_closure(tree).mask ^ tree.mask
+                added = O.penrose_closure(tree).mask ^ tree.mask
                 expect["penrose"] += not any(bad(*G.vertex_pairs(n)[k]) for k in G.mask_bits(added))
             assert tree_family_counts(inc, n, root=root) == expect
 
@@ -301,11 +284,6 @@ class TestTreeTableRoutes:
         factors = [1.0 if v == INF else -math.expm1(-abs(v)) for v in V.pair_values]
         bound = math.fsum(math.prod(factors[k] for k in G.mask_bits(t.mask)) for t in trees)
         assert tree_graph_bound(V, [0.0] * n) == pytest.approx(bound, rel=1e-12)
-        W = random_matrix(n, rng, p_inf=0.3)
-        sums = [math.fsum(W.pair_values[k] for k in
-                          G.mask_bits(G.penrose_closure(t).mask ^ t.mask) if W.pair_values[k] != INF)
-                for t in trees]
-        assert penrose_exponent_minimum(W) == pytest.approx(min(sums), rel=1e-12, abs=1e-12)
 
 
 def fsum_outcome(f):
