@@ -310,6 +310,8 @@ def _cmd_polymer(args) -> int:
     if args.action == "subset-check":
         import random as _random
 
+        if args.vertices < 1:
+            raise ValueError("--vertices must be at least 1")
         rng = _random.Random(args.seed)
         sys_ = polymer.random_subset_gas(list(range(args.vertices)), args.polymers,
                                          args.max_size, rng, a=args.a)

@@ -10,10 +10,13 @@ them: ``tree_table`` decodes every sequence at once into numpy columns
 connected graphs are provided -- the depth-rule closure of a rooted tree and
 the minimum-spanning-tree closure induced by a total edge order -- as
 boolean closure-minus-tree arrays over the rows of the table
-(``penrose_added``, ``kruskal_added``).  Such an array is a partition
-scheme; ``verify_partition_scheme`` checks that its boolean intervals
-[tree, closure(tree)] partition the connected graphs.  Their scalar oracles
-live in ``oracles``.
+(``penrose_added``, ``kruskal_added``).  The depth-rule array is cached per
+n; the Kruskal array is read, per order, from a per-n table of every
+vertex's path to the root as a pair bitset (``tree_paths``): by the cycle
+property, a pair is added when its tree path ranks below it.  Such an array
+is a partition scheme; ``verify_partition_scheme`` checks that its boolean
+intervals [tree, closure(tree)] partition the connected graphs.  Their
+scalar oracles live in ``oracles``.
 
 Vertices are 0-indexed and rooted trees are rooted at vertex 0.  The sizes
 are capped by the module constants ``GRAPH_CAP`` and ``TREE_CAP``, read when
@@ -30,6 +33,8 @@ import numpy as np
 
 GRAPH_CAP = 7  # enumeration over 2^(n(n-1)/2) bitmasks; n=7 is 2^21
 TREE_CAP = 9   # n^(n-2) trees; n=9 is 4782969
+# tree_paths(n) holds n^(n-2) * n pair bitsets: 0.45 MiB at n=7, 8 MiB at n=8
+# (uint32) and about 344 MB at n=9 (uint64), twice penrose_added(9)
 MASK_CHUNK = 1 << 20  # masks per vectorised step; bounds the working memory for every n
 
 
@@ -341,30 +346,58 @@ def penrose_added(n: int) -> np.ndarray:
     return added
 
 
+@lru_cache(maxsize=None)
+def tree_paths(n: int) -> np.ndarray:
+    """root[r, v]: the pairs on the path from v up to vertex 0 in row r of
+    ``tree_table(n)``, as a pair bitset (uint32 up to 32 pairs, n <= 8;
+    uint64 beyond); a read-only array of shape (rows, n).
+
+    Built by n-1 rounds of root(v) = root(parent(v)) | bit(pair(v, parent(v)))
+    from root(0) = 0, as ``tree_table`` builds the depth.  The path between
+    i and j is root(i) ^ root(j): the pairs above their meeting point cancel.
+    """
+    t = tree_table(n)
+    bitset = np.uint32 if num_pairs(n) <= 32 else np.uint64
+    root = np.zeros((len(t), n), dtype=bitset)
+    if n > 1:
+        index = np.zeros((n, n), dtype=bitset)
+        i, j = pair_ends(n)
+        index[i, j] = index[j, i] = np.arange(len(i))
+        for rows in t.chunks():
+            up = np.maximum(t.parent[rows], 0)
+            edge = np.left_shift(1, index[np.arange(n), up], dtype=bitset)
+            edge[:, 0] = 0
+            above = (up + np.arange(0, up.size, n)[:, None]).ravel()
+            path = root[rows].reshape(-1)
+            for _ in range(n - 1):
+                path[:] = path[above] | edge.ravel()
+    root.flags.writeable = False
+    return root
+
+
 def kruskal_added(order: EdgeOrder, rows: slice = slice(None)) -> np.ndarray:
     """Closure-minus-tree pairs under ``order`` for ``tree_table(n)[rows]``:
     a pair is added when its rank is above every rank on its tree path.
 
-    One sweep over the pairs in ascending rank, all rows at once.  Each
-    vertex holds, as an n-bit set, its component in the forest of the tree
-    edges swept so far.  A pair is added exactly when its ends already share
-    a component, since the tree path joining them then ranks below it; a
-    tree edge merges the components of its ends.
+    By the cycle property of minimum spanning trees, that is the Kruskal
+    closure.  The tree path of pair (i, j) is root(i) ^ root(j) from
+    ``tree_paths(n)``, so a pair is added exactly when that path has no pair
+    outside ``below``, the pairs ranked below it.  A tree edge's path is its
+    own bit, never below itself, so a tree edge is never added.
     """
     n = order.n
-    mask = tree_table(n).mask[rows]
+    root = tree_paths(n)[rows]
     i, j = pair_ends(n)
-    added = np.empty((len(mask), len(i)), dtype=bool)
-    bitset = np.min_scalar_type((1 << n) - 1)
-    bit = np.left_shift(1, np.arange(n, dtype=bitset))[:, None]
-    comp = np.repeat(bit, len(mask), axis=1)
+    below = np.zeros(len(i), dtype=root.dtype)
+    acc = 0
     for k in np.argsort(order.ranks).tolist():
-        a, b = i[k], j[k]
-        np.not_equal(comp[a] & bit[b], 0, out=added[:, k])
-        # zero outside the trees holding this edge, so only those merge
-        union = (comp[a] | comp[b]) * (mask >> k & 1).astype(bitset)
-        np.copyto(comp, union, where=(union & bit) != 0)
-    return added
+        below[k] = acc
+        acc |= 1 << k
+    # in place: fewer fresh temporaries, so fewer page faults per call
+    path = root[:, i]
+    path ^= root[:, j]
+    path &= ~below
+    return path == 0
 
 
 @dataclass

@@ -631,6 +631,8 @@ def random_subset_gas(vertices: Sequence[Hashable], n_polymers: int, max_size: i
     """Random subset system scaled so sup_x sum_{g: x in g} rho(g) e^(a|g|)
     equals 0.9 times e^a - 1."""
     vertices = list(vertices)
+    if not vertices:
+        raise ValueError("need at least 1 vertex, got an empty vertex list")
     distinct = sum(math.comb(len(vertices), s) for s in range(1, max_size + 1))
     if not 1 <= n_polymers <= distinct:  # the sampling below draws distinct subsets
         raise ValueError(f"need 1 <= n_polymers <= {distinct}, the subsets of size <= {max_size}")

@@ -13,7 +13,8 @@ correctness check of this package.
 The tree route runs over ``graphs.tree_table(n)``: one vectorised term
 evaluator takes the closure-minus-tree pairs of every tree as a boolean array,
 from the depth rule (``penrose_added``) or from the edge order of the matrix
-values (``kruskal_added``).
+values (``kruskal_added``, one bitmask test per tree and pair against the
+cached tree paths of ``tree_paths``).
 
 Matrices whose values are all 0 or +inf ("hard core") are evaluated in exact
 integer arithmetic, so the identities can be checked bit for bit.  The float
@@ -38,7 +39,6 @@ from .graphs import (
     num_pairs,
     pair_ends,
     pair_index,
-    pair_index_map,
     penrose_added,
     tree_table,
     vertex_pairs,
@@ -233,24 +233,27 @@ def exact_fsum(chunks: Callable[[], Iterable[np.ndarray]]) -> float:
 
 
 def _gibbs_subsets(V: InteractionMatrix):
-    """e^(-U(S)) for every vertex subset S, where U sums V_ij inside S."""
+    """e^(-U(S)) for every vertex subset S, where U sums V_ij inside S.
+
+    The subset with lowest vertex t is the rest times the pair factors
+    (t, j) over the rest's vertices j ascending, stopping at a zero."""
     n = V.n
-    pidx = pair_index_map(n)
     hard = V.is_hard_core
-    gibbs_pair = [(0 if v == INF else 1) if hard else (0.0 if v == INF else math.exp(-v))
-                  for v in V.pair_values]
+    factor = [[None] * n for _ in range(n)]
+    for (i, j), v in zip(vertex_pairs(n), V.pair_values):
+        factor[i][j] = (0 if v == INF else 1) if hard else (0.0 if v == INF else math.exp(-v))
     out = [None] * (1 << n)
     out[0] = 1 if hard else 1.0
     for mask in range(1, 1 << n):
         low = mask & -mask
-        t = low.bit_length() - 1
+        row = factor[low.bit_length() - 1]
         rest = mask ^ low
         acc = out[rest]
-        for j in mask_bits(rest):
-            if not acc:
-                break
-            acc = acc * gibbs_pair[pidx[(t, j)]]
-        out[mask] = acc if rest else (1 if hard else 1.0)
+        while rest and acc:
+            bit = rest & -rest
+            acc = acc * row[bit.bit_length() - 1]
+            rest ^= bit
+        out[mask] = acc
     return out
 
 

@@ -317,6 +317,7 @@ class TestHarness:
         (["ursell", "--matrix", "3; 0 1 1 2"], "'0 1 1 2' is not of the form i j v"),
         (["ursell", "--matrix", "x; 0 1 1"], "'x' is not a vertex count"),
         (["ursell", "--matrix", ";"], "'' is not a vertex count"),
+        (["polymer", "subset-check", "--vertices", "0"], "--vertices must be at least 1"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)

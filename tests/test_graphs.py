@@ -205,7 +205,9 @@ class TestTreeTable:
         ref = prufer_trees(n)
         for order in [G.EdgeOrder.lexicographic(n)] + [random_order(n, rng) for _ in range(orders)]:
             expect = [pair_flags(n, O.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
-            assert G.kruskal_added(order).tolist() == expect
+            added = G.kruskal_added(order)
+            assert added.dtype == bool and added.shape == (len(ref), G.num_pairs(n))
+            assert added.tolist() == expect
 
     def test_kruskal_added_rows_are_a_slice(self):
         order = random_order(6, random.Random(6))
@@ -225,6 +227,38 @@ class TestTreeTable:
             order = G.EdgeOrder.from_weights(n, w)
             expect = [pair_flags(n, O.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
             assert G.kruskal_added(order).tolist() == expect
+
+    def test_kruskal_added_n8_sample(self):
+        # n = 8 is beyond the full oracle lists: the sampled rows are decoded
+        # from their Pruefer codes, the base-8 digits of the row number
+        n = 8
+        rng = random.Random(800)
+        t = G.tree_table(n)
+        sample = sorted(rng.sample(range(len(t)), 2000))
+        ref = [O.prufer_to_tree(n, [r // n ** (n - 3 - k) % n for k in range(n - 2)])
+               for r in sample]
+        assert [r.mask for r in ref] == t.mask[sample].tolist()
+        w = {p: math.inf if rng.random() < 0.4 else 0.0 for p in G.vertex_pairs(n)}
+        for order in (G.EdgeOrder.lexicographic(n), G.EdgeOrder.from_weights(n, w)):
+            expect = [pair_flags(n, O.kruskal_closure(r, order).mask ^ r.mask) for r in ref]
+            added = G.kruskal_added(order)
+            assert added.shape == (len(t), G.num_pairs(n))
+            assert added[sample].tolist() == expect
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_tree_paths(self, n):
+        t = G.tree_table(n)
+        root = G.tree_paths(n)
+        assert root.dtype == np.uint32 and root.shape == (len(t), n)
+        assert not root.flags.writeable
+        # one pair per step up to the root
+        assert np.array_equal(np.bitwise_count(root), t.depth)
+        # the path of each tree edge is that edge's own bit
+        i, j = G.pair_ends(n)
+        pairs = t.pairs.astype(np.intp)
+        paths = (np.take_along_axis(root, i[pairs], axis=1)
+                 ^ np.take_along_axis(root, j[pairs], axis=1))
+        assert np.array_equal(paths, np.left_shift(1, pairs).astype(np.uint32))
 
     def test_cap_and_size(self):
         with pytest.raises(G.CapExceededError, match="cap is 9"):

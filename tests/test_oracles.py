@@ -10,8 +10,8 @@ PACKAGE = Path(O.__file__).parent
 
 # the shared tables and kernels of the fast routes
 FAST_TABLES = {"tree_table", "connected_masks", "_components", "_prufer_decode", "penrose_added",
-               "kruskal_added", "exact_fsum", "_phi_table", "_grand_partition", "_independence",
-               "_density_of_states"}
+               "tree_paths", "kruskal_added", "exact_fsum", "_phi_table", "_grand_partition",
+               "_independence", "_density_of_states"}
 
 
 def test_oracles_name_no_fast_table():

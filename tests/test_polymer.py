@@ -588,6 +588,8 @@ class TestSubsetGas:
         for count in (0, 93, 300):
             with pytest.raises(ValueError, match="n_polymers <= 92"):
                 PL.random_subset_gas(list(range(8)), count, 3, rng)
+        with pytest.raises(ValueError, match="empty vertex list"):
+            PL.random_subset_gas([], 1, 3, rng)
 
     def test_violated_condition_reported(self):
         s = PL.subset_gas_system(["x", "y"], {frozenset({"x"}): 3.0, frozenset({"y"}): 3.0})

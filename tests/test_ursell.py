@@ -13,6 +13,7 @@ from clusterexp.ursell import (
     SUM_PIECE,
     InteractionMatrix,
     StabilityCertificateError,
+    _gibbs_subsets,
     exact_fsum,
     tree_family_counts,
     tree_graph_bound,
@@ -108,6 +109,29 @@ class TestThreeWayAgreement:
         a = ursell_graph_sum(V)
         c = scalar_tree_sum(V, O.penrose_closure)
         assert abs(a - c) <= 1e-12 * max(abs(a), 1e-30)
+
+
+class TestGibbsSubsets:
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_hard_core_entries_are_exact(self, n):
+        rng = random.Random(900 + n)
+        for p_inf in (0.2, 0.5):
+            V = random_hardcore(n, rng, p_inf)
+            gibbs = _gibbs_subsets(V)
+            assert len(gibbs) == 1 << n
+            for S, g in enumerate(gibbs):
+                assert type(g) is int and g == (1 if V.subset_energy(S) < INF else 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_float_entries_are_boltzmann_factors(self, n):
+        rng = random.Random(950 + n)
+        for _ in range(3):
+            V = random_matrix(n, rng)
+            gibbs = _gibbs_subsets(V)
+            assert len(gibbs) == 1 << n
+            for S, g in enumerate(gibbs):
+                assert type(g) is (int if V.is_hard_core else float)
+                assert math.isclose(g, math.exp(-V.subset_energy(S)), rel_tol=1e-12, abs_tol=0.0)
 
 
 class TestAlternatingSigns:
