@@ -9,6 +9,7 @@ classical 1/e to above 0.51.
 """
 
 from clusterexp import hardsphere as H
+from clusterexp.potentials import sphere_volume
 
 print("=" * 72)
 print("1. Overlap factors g(2, k): exact where possible, Monte Carlo beyond")
@@ -49,4 +50,4 @@ print("=" * 72)
 print("4. Ball volumes, the only continuum input the bounds need")
 print("=" * 72)
 for n in (1, 2, 3, 4, 5):
-    print(f"  V_{n}(1) = {H.sphere_volume(n, 1.0):.9f}")
+    print(f"  V_{n}(1) = {sphere_volume(n, 1.0):.9f}")

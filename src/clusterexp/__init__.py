@@ -11,9 +11,11 @@ ising       2D Ising sums, both polymer expansions, duality, thresholds
 hardsphere  overlap integrals and the improved planar radius bound
 cli         command-line interface over all of the above
 oracles     scalar reference implementations for the tests; the package does not import it
-"""
 
-from . import graphs, hardsphere, ising, mayer, polymer, potentials, ursell
+``import clusterexp`` loads none of them: ``from clusterexp import graphs``
+loads a module and what it needs, so each command line pays only for the
+modules it runs.
+"""
 
 __version__ = "0.1.0"
 

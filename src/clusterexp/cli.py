@@ -6,6 +6,10 @@ Every artifact echoes its full input configuration (seed included) so a run
 can be reproduced from its own output; floats are emitted with 17 significant
 digits.  Exit status: 0 on success, 1 when a verify-mode invariant fails,
 2 on usage errors.
+
+Each handler imports the module it runs, and this module imports neither
+numpy nor any computation module at the top, so a fresh process compiles
+only what its subcommand needs (``--version`` loads none of them).
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, graphs, hardsphere, ising, mayer, polymer, potentials, ursell, verify
+from . import __version__
 
 SCHEMA = "clusterexp/1"
 
@@ -28,6 +30,8 @@ def _fmt_float(x) -> str:
 
 
 def _jsonable(obj):
+    import numpy as np
+
     if isinstance(obj, float):
         return float(_fmt_float(obj)) if math.isfinite(obj) else repr(obj)
     if isinstance(obj, (np.floating, np.integer)):
@@ -101,10 +105,14 @@ def _open(path: str, mode: str):
 
 
 def _pairs(items: list[str] | None) -> dict[str, float]:
+    from . import potentials
+
     return {k: float(v) for k, v in potentials.parse_pairs(items or []).items()}
 
 
-def _spec_from_args(args) -> potentials.PairPotentialSpec:
+def _spec_from_args(args):
+    from . import potentials
+
     if args.spec_file:
         given = [f"--{k}" for k in ("family", "params", "dimension") if getattr(args, k) is not None]
         if given:
@@ -119,6 +127,8 @@ def _spec_from_args(args) -> potentials.PairPotentialSpec:
 
 
 def _cmd_graphs(args) -> int:
+    from . import graphs
+
     n = args.n
     payload: dict = {"command": "graphs", "n": n}
     if args.action == "count":
@@ -150,6 +160,10 @@ def _cmd_graphs(args) -> int:
 
 
 def _cmd_ursell(args) -> int:
+    import numpy as np
+
+    from . import ursell
+
     if args.matrix_file:
         V = ursell.InteractionMatrix.from_text(_read(args.matrix_file))
     elif args.matrix:
@@ -190,6 +204,8 @@ def _cmd_ursell(args) -> int:
 
 
 def _cmd_potentials(args) -> int:
+    from . import potentials
+
     spec = _spec_from_args(args)
     payload: dict = {
         "command": "potentials", "action": args.action,
@@ -226,6 +242,8 @@ def _cmd_potentials(args) -> int:
 
 
 def _cmd_mayer(args) -> int:
+    from . import mayer
+
     if args.action == "coefficients":
         if args.grid:
             w, _, h = args.grid.partition("x")
@@ -273,7 +291,9 @@ def _cmd_mayer(args) -> int:
     return 0
 
 
-def _build_model(name: str, rho: float) -> tuple[polymer.PolymerSystem, object]:
+def _build_model(name: str, rho: float) -> tuple:
+    from . import polymer
+
     if name == "domino":
         sys_ = polymer.domino_system(5, 5, rho)
         return sys_, polymer.domino_center(sys_)
@@ -288,6 +308,8 @@ def _build_model(name: str, rho: float) -> tuple[polymer.PolymerSystem, object]:
 
 
 def _cmd_polymer(args) -> int:
+    from . import polymer
+
     if args.action == "criteria":
         sys_, center = _build_model(args.model, 1.0)
         out = {}
@@ -312,6 +334,8 @@ def _cmd_polymer(args) -> int:
 
         if args.vertices < 1:
             raise ValueError("--vertices must be at least 1")
+        if args.max_size < 1:
+            raise ValueError("--max-size must be at least 1")
         rng = _random.Random(args.seed)
         sys_ = polymer.random_subset_gas(list(range(args.vertices)), args.polymers,
                                          args.max_size, rng, a=args.a)
@@ -353,7 +377,13 @@ def _refuse_past_float_range(L: int, beta: float, contour: bool = False) -> None
                              f"e^({rate} 2L(L+1)) overflows") from None
 
 
+ISING_Z_COLUMNS = ("beta", "Z_brute", "Z_highT", "Xi_highT", "Z_lowT", "Xi_lowT", "Z_brute_plus",
+                   "M", "highT_rel_err", "lowT_rel_err", "M_plus_bound_margin")
+
+
 def _cmd_ising(args) -> int:
+    from . import ising
+
     if args.action == "z":
         rows = []
         for beta in args.beta:
@@ -367,18 +397,13 @@ def _cmd_ising(args) -> int:
             zbp = ising.brute_force_Z(args.L, beta, boundary="plus")
             mag = ising.magnetization(args.L, beta, boundary=args.boundary)
             mplus = ising.magnetization(args.L, beta, boundary="plus")
-            rows.append({
-                "beta": beta, "Z_brute": zb, "Z_highT": z_h, "Xi_highT": xi_h,
-                "Z_lowT": low.z_reconstructed, "Xi_lowT": low.xi_contour,
-                "Z_brute_plus": zbp, "M": mag.mean,
-                "highT_rel_err": abs(z_h - zb) / zb,
-                "lowT_rel_err": abs(low.z_reconstructed - zbp) / zbp,
-                "M_plus_bound_margin": ("" if mplus.low_t_bound is None
-                                        else mplus.mean - mplus.low_t_bound),
-            })
+            rows.append(dict(zip(ISING_Z_COLUMNS, (
+                beta, zb, z_h, xi_h, low.z_reconstructed, low.xi_contour, zbp, mag.mean,
+                abs(z_h - zb) / zb, abs(low.z_reconstructed - zbp) / zbp,
+                "" if mplus.low_t_bound is None else mplus.mean - mplus.low_t_bound))))
         payload = {"command": "ising", "action": "z", "L": args.L,
                    "boundary": args.boundary, "rows": rows}
-        _emit(args, payload, rows=rows)
+        _emit(args, payload, rows=rows, columns=ISING_Z_COLUMNS)
         return 0
     if args.action == "duality":
         rep = ising.duality_check(args.L, args.beta[0] if args.beta else 0.3)
@@ -411,6 +436,8 @@ def _cmd_ising(args) -> int:
 
 
 def _cmd_hardsphere(args) -> int:
+    from . import hardsphere
+
     if args.action == "gtilde":
         est = hardsphere.gtilde(args.d, args.k, samples=args.samples, seed=args.seed)
         payload = {"command": "hardsphere", "action": "gtilde", **_jsonable(est)}
@@ -426,13 +453,19 @@ def _cmd_hardsphere(args) -> int:
                    "gtable": list(r.gtable)}
         _emit(args, payload)
         return 0
+    from .potentials import sphere_volume
+
     payload = {"command": "hardsphere", "action": "volume", "n": args.n, "r": args.r,
-               "value": hardsphere.sphere_volume(args.n, args.r)}
+               "value": sphere_volume(args.n, args.r)}
     _emit(args, payload)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     results = verify.run_suite(args.suite, max_n=args.max_n, trials=args.trials,
                                seed=args.seed, jobs=args.jobs)
     rows = [{"check": r.name, "ok": r.ok, "detail": r.detail} for r in results]
@@ -452,10 +485,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write the artifact to this path")
 
 
+def _family(name: str) -> str:
+    """An argparse type: ``name`` if it is a family ``--family`` takes, read
+    from ``potentials`` only when the option is given.  step_table takes
+    lists, which --params cannot give; --spec-file can."""
+    from . import potentials
+
+    choices = [f for f in potentials.FAMILIES if f != "step_table"]
+    if name not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, choices))})")
+    return name
+
+
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    # step_table takes lists, which --params cannot give; --spec-file can
-    p.add_argument("--family", default=None,
-                   choices=tuple(f for f in potentials.FAMILIES if f != "step_table"))
+    p.add_argument("--family", default=None, type=_family,
+                   help="a pair-potential family (default hard_core); step_table only by --spec-file")
     p.add_argument("--params", nargs="*", metavar="k=v")
     p.add_argument("--dimension", type=int, default=None)
     p.add_argument("--spec-file", default=None, help="excludes --family, --params and --dimension")

@@ -11,7 +11,13 @@ five-term table pushes the bound coefficient from the classical 1/e = 0.368
 up past 0.51.
 
 Monte Carlo estimates use a counter-based generator (Philox), so every
-estimate is reproducible bit for bit from (seed, samples).
+estimate is reproducible bit for bit from (seed, samples).  Each batch
+draws standard normals of shape (samples, k, d), then uniforms of shape
+(samples, k) for the radii.  The arithmetic runs on contiguous coordinate
+planes of shape (d, k, samples) and sums squares coordinate by coordinate,
+(x0^2 + x1^2) + x2^2, the order numpy's norm and sum take over a length-d
+axis: the stream and every estimate are unchanged from the (samples, k, d)
+form of the same draws.
 """
 
 from __future__ import annotations
@@ -20,9 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mayer import grid_max
-from .potentials import sphere_volume
 
 MC_BATCH = 1 << 17  # samples drawn per step; the stream, hence the estimate, depends on it
 
@@ -57,12 +60,30 @@ def gtilde_closed_form(d: int, k: int) -> float | None:
     return None
 
 
-def _uniform_ball(rng: np.random.Generator, n: int, k: int, d: int) -> np.ndarray:
-    """n*k points uniform in the unit d-ball, shape (n, k, d)."""
-    g = rng.standard_normal((n, k, d))
-    norms = np.linalg.norm(g, axis=2, keepdims=True)
-    radii = rng.random((n, k, 1)) ** (1.0 / d)
-    return g / norms * radii
+def _batch_hits(rng: np.random.Generator, n: int, k: int, d: int) -> int:
+    """How many of n draws of k points uniform in the unit d-ball are
+    pairwise more than unit distance apart."""
+    pts = rng.standard_normal((n, k, d)).T.copy()  # coordinate planes, shape (d, k, n)
+    radii = rng.random((n, k)).T ** (1.0 / d)
+    sq = np.empty((k, n))
+    norms = pts[0] * pts[0]
+    for c in range(1, d):
+        norms += np.multiply(pts[c], pts[c], out=sq)
+    np.sqrt(norms, out=norms)
+    pts /= norms
+    pts *= radii
+    ok = np.ones(n, dtype=bool)
+    dist, diff, far = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for a in range(k):
+        for b in range(a + 1, k):
+            np.subtract(pts[0, a], pts[0, b], out=dist)
+            dist *= dist
+            for c in range(1, d):
+                np.subtract(pts[c, a], pts[c, b], out=diff)
+                diff *= diff
+                dist += diff
+            ok &= np.greater(dist, 1.0, out=far)
+    return int(np.count_nonzero(ok))
 
 
 def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0) -> OverlapEstimate:
@@ -79,6 +100,8 @@ def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0) -> OverlapEs
         raise ValueError("need k >= 0")
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if not 0 <= seed < 1 << 128:  # the Philox key
+        raise ValueError(f"need 0 <= seed < 2**128, got seed {seed}")
     if k <= 1:
         return OverlapEstimate(d, k, 1.0, 0.0, 0, seed, exact=True)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -86,13 +109,7 @@ def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0) -> OverlapEs
     done = 0
     while done < samples:
         n = min(MC_BATCH, samples - done)
-        pts = _uniform_ball(rng, n, k, d)
-        ok = np.ones(n, dtype=bool)
-        for a in range(k):
-            for b in range(a + 1, k):
-                diff = pts[:, a, :] - pts[:, b, :]
-                ok &= (diff * diff).sum(axis=1) > 1.0
-        hits += int(ok.sum())
+        hits += _batch_hits(rng, n, k, d)
         done += n
     p = hits / samples
     se = math.sqrt(max(p * (1.0 - p), 1e-30) / samples)
@@ -142,6 +159,8 @@ class ImprovedRadius:
 
 def improved_radius(gtable=None) -> ImprovedRadius:
     """Maximise mu / C_2(mu) by golden section after a coarse grid pass."""
+    from .mayer import grid_max
+
     gtable = G2_REFERENCE if gtable is None else tuple(gtable)
     m, value = grid_max(lambda m: m / cd_polynomial(m, gtable), np.linspace(1e-6, 10.0, 4001))
     return ImprovedRadius(m, value, classical_radius_coefficient(), gtable)

@@ -33,7 +33,8 @@ import numpy as np
 
 from .graphs import CapExceededError
 from .potentials import PairPotentialSpec, is_nonnegative, potential_eval
-from .ursell import INF
+
+INF = math.inf
 
 N_MAX_CAP = 16
 VOLUME_CAP = 64

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -28,6 +29,26 @@ def assert_usage_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def fresh_process(script: str) -> str:
+    """The last line ``script`` prints in a fresh interpreter that imports this package."""
+    path = [str(Path(P.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def modules_loaded_by(argv: str) -> set[str]:
+    """The clusterexp modules a fresh process has loaded after running ``argv``."""
+    script = ("import contextlib, io, sys\n"
+              "from clusterexp import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    assert cli.main({argv.split()!r}) == 0\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'clusterexp'))\n")
+    return set(ast.literal_eval(fresh_process(script)))
 
 
 FAMILY_PARAMS = {
@@ -201,6 +222,12 @@ class TestIsingCommand:
         assert row["highT_rel_err"] < 1e-12
         assert row["lowT_rel_err"] < 1e-12
 
+    def test_empty_z_csv_is_header_only(self, capsys):
+        assert main(["ising", "z", "--L", "3", "--beta", "0.3", "--format", "csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert main(["ising", "z", "--L", "3", "--beta", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [header]
+
     def test_duality(self, capsys):
         code, data = run_json(capsys, ["ising", "duality", "--L", "4", "--beta", "0.3"])
         assert code == 0 and data["xi_equal"] is True
@@ -318,6 +345,10 @@ class TestHarness:
         (["ursell", "--matrix", "x; 0 1 1"], "'x' is not a vertex count"),
         (["ursell", "--matrix", ";"], "'' is not a vertex count"),
         (["polymer", "subset-check", "--vertices", "0"], "--vertices must be at least 1"),
+        (["verify", "--jobs", "0"], "--jobs must be at least 1"),
+        (["verify", "--jobs", "-3"], "--jobs must be at least 1"),
+        (["polymer", "subset-check", "--max-size", "0"], "--max-size must be at least 1"),
+        (["hardsphere", "gtilde", "--seed", "-1"], "got seed -1"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
@@ -383,6 +414,36 @@ class TestHarness:
         assert_usage_error(capsys, ["ursell", "--matrix", "3; 0 1 1; 0 2 1; 1 2 1"],
                            "a route's own message")
 
+    @pytest.mark.parametrize("family", ["nope", "step_table"])
+    def test_family_outside_the_flag_families_is_a_usage_error(self, capsys, family):
+        with pytest.raises(SystemExit) as exc:
+            main(["mayer", "virial", "--family", family])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument --family: invalid choice: {family!r}" in err
+        assert all(repr(f) in err for f in P.FAMILIES if f != "step_table")
+
+    def test_graphs_count_loads_only_graphs(self):
+        assert modules_loaded_by("graphs count --n 6") == {"clusterexp", "clusterexp.cli",
+                                                           "clusterexp.graphs"}
+
+    def test_ising_z_and_gtilde_load_no_unrelated_module(self):
+        unrelated = {f"clusterexp.{m}" for m in ("mayer", "polymer", "ursell", "hardsphere")}
+        assert not modules_loaded_by("ising z --L 3") & unrelated
+        assert "clusterexp.graphs" not in modules_loaded_by("hardsphere gtilde --samples 1000")
+
+    def test_bare_import_and_version_load_no_submodule_and_no_numpy(self):
+        script = ("import sys\n"
+                  "import clusterexp\n"
+                  "bare = sorted(m for m in sys.modules if m.partition('.')[0] == 'clusterexp')\n"
+                  "from clusterexp import cli\n"
+                  "try:\n"
+                  "    cli.main(['--version'])\n"
+                  "except SystemExit:\n"
+                  "    pass\n"
+                  "print(bare, 'numpy' in sys.modules)\n")
+        assert fresh_process(script) == "['clusterexp'] False"
+
     def test_commands_without_quadrature_do_not_import_scipy(self):
         script = ("import sys\n"
                   "from clusterexp import cli\n"
@@ -391,12 +452,7 @@ class TestHarness:
                   "'mayer virial --beta 1 --Bbar 0.5 --Ctilde 0.3'):\n"
                   "    assert cli.main(argv.split()) == 0, argv\n"
                   "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
-        path = [str(Path(P.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert fresh_process(script) == "[]"
 
     def test_scheme_and_verify_commands_do_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, which keeps about 1 MiB
@@ -405,12 +461,7 @@ class TestHarness:
                   "for argv in ('graphs verify-scheme --n 5', 'verify --max-n 5'):\n"
                   "    assert cli.main(argv.split()) == 0, argv\n"
                   "print('numpy.ma' in sys.modules)\n")
-        path = [str(Path(P.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert fresh_process(script) == "False"
 
     def test_empty_csv_is_header_only(self, capsys):
         assert main(["verify", "--max-n", "1", "--format", "csv"]) == 0

@@ -5,6 +5,22 @@ import pytest
 from clusterexp import hardsphere as H
 
 
+# estimate.hex() of gtilde(d, k, samples=300_001, seed).  300_001 is not a
+# multiple of MC_BATCH, so a short last batch is drawn too.  The seed, the
+# batch size and the order of the arithmetic fix every bit of these values.
+PINNED_ESTIMATES = {
+    (1, 2, 0): "0x1.fff3546a6c890p-3", (1, 2, 7): "0x1.016de87a22af4p-2",
+    (1, 3, 0): "0x0.0p+0", (1, 3, 7): "0x0.0p+0",
+    (1, 5, 0): "0x0.0p+0", (1, 5, 7): "0x0.0p+0",
+    (2, 2, 0): "0x1.a6a79349235abp-2", (2, 2, 7): "0x1.a6eadbd63271ap-2",
+    (2, 3, 0): "0x1.e3847d2b807edp-5", (2, 3, 7): "0x1.e4e2035b647e1p-5",
+    (2, 5, 0): "0x0.0p+0", (2, 5, 7): "0x1.bf641457094acp-19",
+    (3, 2, 0): "0x1.10738c3af8d2ap-1", (3, 2, 7): "0x1.0f8feb8f9f8a2p-1",
+    (3, 3, 0): "0x1.2716a8927036fp-3", (3, 3, 7): "0x1.25398ed8bf661p-3",
+    (3, 5, 0): "0x1.c661a4a8656fep-11", (3, 5, 7): "0x1.b168f3b451006p-11",
+}
+
+
 class TestClosedForms:
     def test_trivial_factors(self):
         for d in (1, 2, 3):
@@ -38,6 +54,16 @@ class TestMonteCarlo:
         assert H.gtilde(2, 3, samples=300_000, seed=1).estimate == 0.058646666666666666
         with pytest.raises(TypeError):
             H.gtilde(2, 3, samples=1000, seed=1, batch=1 << 16)
+
+    @pytest.mark.parametrize("d,k,seed", sorted(PINNED_ESTIMATES))
+    def test_estimate_pinned_bit_for_bit(self, d, k, seed):
+        est = H.gtilde(d, k, samples=300_001, seed=seed)
+        assert est.estimate.hex() == PINNED_ESTIMATES[d, k, seed]
+
+    def test_seed_outside_the_philox_key_range_is_refused(self):
+        for seed in (-1, 1 << 128):
+            with pytest.raises(ValueError, match=f"got seed {seed}"):
+                H.gtilde(2, 3, samples=10, seed=seed)
 
     def test_seed_changes_stream(self):
         a = H.gtilde(2, 3, samples=100_000, seed=7)
