@@ -386,11 +386,11 @@ def _cmd_ising(args) -> int:
 
     if args.action == "z":
         rows = []
+        # before the loops, so that an empty --beta list is refused too
+        ising.check_z_side(args.L)
         for beta in args.beta:
             _refuse_past_float_range(args.L, beta, contour=True)
         for beta in args.beta:
-            # the even-subgraph walk first: HIGH_T_CAP is the lowest cap, so an L past
-            # it is refused before any transfer
             xi_h, z_h = ising.high_T_polymer_Z(args.L, beta)
             zb = ising.brute_force_Z(args.L, beta, boundary=args.boundary)
             low = ising.low_T_contour_Z(args.L, beta)

@@ -3,7 +3,8 @@
 A graph on [n] is an edge subset of the n(n-1)/2 vertex pairs, encoded as a
 bitmask over the pairs in lexicographic order.  The connected masks are
 built from the graphs on one vertex fewer: a star at vertex 0 joins a graph
-on {1..n-1} exactly when it meets each of its components.  Trees are
+on {1..n-1} exactly when it meets each of its components, and
+``connected_bits`` packs their membership into one bit per mask.  Trees are
 produced through the Pruefer bijection, which guarantees exactly n^(n-2) of
 them: ``tree_table`` decodes every sequence at once into numpy columns
 (mask, parent, depth, pair indices).  Two maps from rooted trees to
@@ -174,6 +175,27 @@ def connected_masks(n: int) -> np.ndarray:
     table.resize(filled, refcheck=False)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def connected_bits(n: int) -> np.ndarray:
+    """Membership of ``connected_masks(n)`` as a packed bitset: bit g & 7 of
+    byte g >> 3 is set when the graph with mask g is connected.  A read-only
+    uint8 array of 2^(n(n-1)/2) bits (256 KiB at n=7), derived once per n,
+    MASK_CHUNK / 8 masks at a time, so that no int64 temporary outgrows
+    MASK_CHUNK bytes."""
+    masks = connected_masks(n)
+    size = 1 << num_pairs(n)
+    step = max(8, (MASK_CHUNK >> 3) & -8)  # whole bytes per step
+    bits = np.empty(-(-size // 8), dtype=np.uint8)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        a, b = np.searchsorted(masks, (lo, hi))
+        flags = np.zeros(hi - lo, dtype=bool)
+        flags[masks[a:b] - lo] = True
+        bits[lo >> 3:(hi + 7) >> 3] = np.packbits(flags, bitorder="little")
+    bits.flags.writeable = False
+    return bits
 
 
 def count_connected(n: int) -> int:
@@ -375,9 +397,10 @@ def tree_paths(n: int) -> np.ndarray:
     return root
 
 
-def kruskal_added(order: EdgeOrder, rows: slice = slice(None)) -> np.ndarray:
-    """Closure-minus-tree pairs under ``order`` for ``tree_table(n)[rows]``:
-    a pair is added when its rank is above every rank on its tree path.
+def kruskal_added(order: EdgeOrder, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """Closure-minus-tree pairs under ``order`` for ``tree_table(n)[rows]``,
+    where ``rows`` is a slice or an index array of table rows: a pair is
+    added when its rank is above every rank on its tree path.
 
     By the cycle property of minimum spanning trees, that is the Kruskal
     closure.  The tree path of pair (i, j) is root(i) ^ root(j) from

@@ -68,6 +68,20 @@ def _outside_bit(boundary: str) -> int | None:
     return {"free": None, "plus": 0, "minus": 1}[boundary]
 
 
+def _check_side(L: int, cap: int, what: str) -> None:
+    if L < 1:
+        raise ValueError("need L >= 1")
+    if L > cap:
+        raise CapExceededError(f"{what} capped at L={cap}")
+
+
+def check_z_side(L: int) -> None:
+    """Refuse an L that the even-subgraph walk or the transfer would refuse,
+    before either runs."""
+    _check_side(L, HIGH_T_CAP, "even-subgraph enumeration")
+    _check_side(L, TRANSFER_CAP, "transfer")
+
+
 def _bins(L: int, boundary: str) -> int:
     """One bin per possible count of opposite pairs: 2L(L-1) internal pairs,
     plus 4L pairs against the outside unless the boundary is free."""
@@ -91,10 +105,7 @@ def _density_of_states(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     pass gives N and M.  Every count is at most 2^(L^2) <= 2^49, so int64
     stays exact.
     """
-    if L < 1:
-        raise ValueError("need L >= 1")
-    if L > TRANSFER_CAP:
-        raise CapExceededError(f"transfer capped at L={TRANSFER_CAP}")
+    _check_side(L, TRANSFER_CAP, "transfer")
     outside = _outside_bit(boundary)
     bins = _bins(L, boundary)
     n = L * L
@@ -170,10 +181,7 @@ def even_subgraph_size_counts(L: int) -> tuple[int, ...]:
     """count[m] = number of even-degree edge subsets of the L x L box with m
     edges, generated as the span of the (L-1)^2 plaquette cycles; computed
     once per L."""
-    if L < 1:
-        raise ValueError("need L >= 1")
-    if L > HIGH_T_CAP:
-        raise CapExceededError(f"even-subgraph enumeration capped at L={HIGH_T_CAP}")
+    _check_side(L, HIGH_T_CAP, "even-subgraph enumeration")
     eidx = _edge_index(L)
     plaquettes = []
     for r in range(L - 1):

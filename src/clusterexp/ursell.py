@@ -17,9 +17,13 @@ values (``kruskal_added``, one bitmask test per tree and pair against the
 cached tree paths of ``tree_paths``).
 
 Matrices whose values are all 0 or +inf ("hard core") are evaluated in exact
-integer arithmetic, so the identities can be checked bit for bit.  The float
-routes add their terms with ``exact_fsum``, the value of ``math.fsum`` from
-vectorised integer limbs.
+integer arithmetic, so the identities can be checked bit for bit.  Their
+Mayer weight is -1 on the +inf pairs and 0 elsewhere, so only the subgraphs
+of the +inf graph F carry a term: the graph sum enumerates the subsets of F
+and looks each up in the membership bitset ``connected_bits``, and the tree
+routes test the closure only on the trees inside F.  The float routes add
+their terms with ``exact_fsum``, the value of ``math.fsum`` from vectorised
+integer limbs of LIMB_BITS bits.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import graphs
 from .graphs import (
     CapExceededError,
     EdgeOrder,
+    connected_bits,
     connected_masks,
     kruskal_added,
     mask_bits,
@@ -48,9 +54,10 @@ INF = math.inf
 
 PARTITION_CAP = 10  # Bell(10) = 115975 partitions
 
-LIMB_BITS = 31  # bits per fixed-point limb of exact_fsum
-SUM_PIECE = 1 << 15  # floats per exact_fsum step: 256 KiB stays in cache, and
-# no limb sum can reach 2^53 below 2^(53 - LIMB_BITS) = 2^22 floats
+SUM_PIECE = 1 << 15  # floats per exact_fsum step: 256 KiB stays in cache
+# bits per fixed-point limb of exact_fsum (38): SUM_PIECE limbs below
+# 2^LIMB_BITS add up below 2^53, so a piece's float sum of a limb is exact
+LIMB_BITS = 53 - (SUM_PIECE.bit_length() - 1)
 TOP_EXP = 960  # fewer than 2^60 floats below 2^960 cannot add up near the float range
 FSUM_BELOW = 512  # values below which math.fsum beats the limbs' numpy calls
 
@@ -150,19 +157,44 @@ class InteractionMatrix:
 def ursell_graph_sum(V: InteractionMatrix):
     """Brute-force route: sum over all connected graphs on [n].
 
-    The edge product of every mask is tabulated by doubling over the pairs
-    and gathered at the connected masks.  Returns 1 for n = 1.  Hard-core
-    matrices give an exact int; others the exactly rounded float sum.
+    Returns 1 for n = 1.  A hard-core matrix gives an exact int: its weights
+    are -1 on the +inf pairs F and 0 elsewhere, so Phi is the sum of
+    (-1)^|H| over the subgraphs H of F that connect [n], looked up in
+    ``connected_bits(n)``.  Pairs 0-2 are the bit within a byte of that
+    bitset, so only the subsets of F's other pairs are enumerated, by
+    doubling, at most MASK_CHUNK at a time; each byte they address is read
+    once for every subset of F's pairs 0-2.  Other matrices tabulate the
+    edge product of every mask by doubling over the pairs, gather it at
+    ``connected_masks(n)`` and give the exactly rounded float sum.
     """
-    masks = connected_masks(V.n)
-    hard = V.is_hard_core
     w = V.mayer_weights()
-    prods = np.empty(1 << len(w), dtype=np.int8 if hard else np.float64)
+    if V.is_hard_core:
+        hard = [k for k, wk in enumerate(w) if wk]
+        # H = Y + X: X holds F's pairs 0-2, which are the bit of H within a
+        # byte of the bitset, and Y the others, which address the byte
+        low = sum(1 << k for k in hard if k < 3)
+        within = [(1 << x, (-1) ** x.bit_count()) for x in range(8) if not x & ~low]
+        # the Y of even and of odd size, over the first `step` pairs by
+        # doubling; the other pairs are added one offset at a time
+        rest = [k - 3 for k in hard if k >= 3]
+        step = min(len(rest), graphs.MASK_CHUNK.bit_length() - 1)
+        even, odd = np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        for k in rest[:step]:
+            even, odd = np.concatenate((even, odd | 1 << k)), np.concatenate((odd, even | 1 << k))
+        bits = connected_bits(V.n)
+        total = 0
+        for top in range(1 << (len(rest) - step)):
+            offset = sum(1 << k for t, k in enumerate(rest[step:]) if top >> t & 1)
+            sign = -1 if top.bit_count() & 1 else 1
+            for ys, y_sign in ((even, sign), (odd, -sign)):
+                byte = bits[ys | offset]
+                total += y_sign * sum(x_sign * int(np.count_nonzero(byte & x)) for x, x_sign in within)
+        return total
+    masks = connected_masks(V.n)
+    prods = np.empty(1 << len(w), dtype=np.float64)
     prods[0] = 1
     for k, wk in enumerate(w):
         np.multiply(prods[:1 << k], wk, out=prods[1 << k:2 << k])
-    if hard:
-        return int(prods[masks].sum(dtype=np.int64))
     return exact_fsum(lambda: (prods[masks[lo:lo + SUM_PIECE]]
                                for lo in range(0, len(masks), SUM_PIECE)))
 
@@ -327,30 +359,39 @@ def ursell_tree_identity(V: InteractionMatrix, scheme: str = "penrose"):
     return _tree_sum(V, added)
 
 
-def _tree_sum(V: InteractionMatrix, added: Callable[[slice], np.ndarray]):
+def _tree_sum(V: InteractionMatrix, added: Callable[[slice | np.ndarray], np.ndarray]):
     """Sum over the trees of [n] of prod over tree pairs w_ij times
     exp(-sum of V_ij over the added pairs), 0 when an added pair is +inf.
 
-    ``added(rows)`` gives the closure-minus-tree pairs of those table rows.
-    Hard-core matrices count the surviving trees exactly, each worth
-    (-1)^(n-1); others take the exactly rounded sum of the float terms.
+    ``added(rows)`` gives the closure-minus-tree pairs of those table rows, a
+    slice or an index array.  A hard-core matrix has w = 0 off its +inf
+    pairs F, so only the trees inside F can survive: it keeps those rows of
+    each chunk, counts the ones whose added pairs avoid F, each worth
+    (-1)^(n-1), and returns an exact int.  Others take the exactly rounded
+    sum of the float terms, whose tree-pair weights are multiplied one
+    column of ``t.pairs`` at a time, in the order of ``prod(axis=1)``.
     """
     t = tree_table(V.n)
     vals = np.array(V.pair_values, dtype=np.float64)
-    forbidden = vals == INF
+    hard_cols = np.flatnonzero(vals == INF)
     if V.is_hard_core:
+        outside = ~sum(1 << k for k in hard_cols.tolist())
         count = 0
         for rows in t.chunks():
-            survive = forbidden[t.pairs[rows]].all(axis=1) & ~(added(rows) & forbidden).any(axis=1)
-            count += int(np.count_nonzero(survive))
+            inside = np.flatnonzero((t.mask[rows] & outside) == 0) + rows.start
+            count += inside.size - int(np.count_nonzero(added(inside)[:, hard_cols].any(axis=1)))
         return (-1) ** (V.n - 1) * count
-    finite = np.where(forbidden, 0.0, vals)
+    finite = np.where(vals == INF, 0.0, vals)
     w = np.array(V.mayer_weights(), dtype=np.float64)
 
     def terms(rows: slice) -> np.ndarray:
         extra = added(rows)
-        term = w[t.pairs[rows]].prod(axis=1) * np.exp(-(extra @ finite))
-        term[(extra & forbidden).any(axis=1)] = 0.0
+        first, *others = t.pairs[rows].T
+        term = w[first]
+        for col in others:
+            term *= w[col]
+        term *= np.exp(-(extra @ finite))
+        term[extra[:, hard_cols].any(axis=1)] = 0.0
         return term
 
     return exact_fsum(lambda: map(terms, t.chunks()))

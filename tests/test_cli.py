@@ -349,6 +349,8 @@ class TestHarness:
         (["verify", "--jobs", "-3"], "--jobs must be at least 1"),
         (["polymer", "subset-check", "--max-size", "0"], "--max-size must be at least 1"),
         (["hardsphere", "gtilde", "--seed", "-1"], "got seed -1"),
+        (["ising", "z", "--L", "0", "--beta"], "need L >= 1"),
+        (["ising", "z", "--L", "40", "--beta"], "even-subgraph enumeration capped at L=6"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)

@@ -10,6 +10,7 @@ from clusterexp import oracles as O
 from clusterexp.oracles import prufer_trees
 from clusterexp.ursell import (
     INF,
+    LIMB_BITS,
     SUM_PIECE,
     InteractionMatrix,
     StabilityCertificateError,
@@ -328,7 +329,7 @@ class TestExactFsum:
         [1e16, 1.0, -1e16], [1e100, 1.0, -1e100, 1e-100],
         [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106], [1.0, 2.0 ** -53, -(2.0 ** -106)],
         [1.0 + 2.0 ** -52, 2.0 ** -53], [-1.0, -(2.0 ** -53), -(2.0 ** -106)],
-        # the sticky bit that breaks the tie sits 125 = 4 * 31 + 1 bits below the top
+        # the sticky bit that breaks the tie sits 125 bits below the top, past three limbs
         [2.0 ** 19, -(2.0 ** 19), 1.0, 2.0 ** -53 + 2.0 ** -105],
         [1.0, 0.0, 2.0 ** -53, 2.0 ** -100],
         [TINY], [TINY, -TINY, TINY], [2.0 ** -1022, -TINY], [1.0, TINY], [1e20, 1e-300],
@@ -368,6 +369,43 @@ class TestExactFsum:
             assert fsum_outcome(lambda: exact_fsum(lambda: chunks)) == fsum_outcome(
                 lambda: math.fsum(xs))
 
+    def test_limb_sums_of_a_piece_are_exact(self):
+        assert SUM_PIECE << LIMB_BITS <= 1 << 53
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_full_piece_of_largest_limbs_matches_fsum(self, sign):
+        # every value scales to 2^LIMB_BITS - 1 plus a distinct fraction, so
+        # the first limb sum is the largest one a piece can reach
+        ones = (1 << LIMB_BITS) - 1
+        xs = [sign * (ones + k / SUM_PIECE) for k in range(SUM_PIECE)]
+        a = np.array(xs)
+        assert np.all(np.trunc(np.abs(a)) == ones)
+        want = repr(math.fsum(xs))
+        assert repr(exact_fsum(lambda: [a])) == want
+        assert repr(exact_fsum(lambda: [a[:1000], a[1000:]])) == want
+
+    # spans of 2, 3, 3 and 4 limbs: the piece's lowest bit is the last bit of
+    # a limb or the first of the next one (a 53-bit value never fits in one limb)
+    @pytest.mark.parametrize("span", [2 * LIMB_BITS, 2 * LIMB_BITS + 1,
+                                      3 * LIMB_BITS, 3 * LIMB_BITS + 1])
+    def test_sticky_bit_at_a_limb_edge_matches_fsum(self, span):
+        # the sum is 2^L plus half its ulp, a tie, plus 2^q, the piece's lowest
+        # bit, which breaks it; the values below 2^(L-17) carry 53-bit
+        # mantissas down to 2^q, so no value has a set bit the limbs skip
+        L, q = LIMB_BITS, LIMB_BITS - span
+        xs = [2.0 ** L - 2.0 ** (L - 18), 2.0 ** (L - 18) + 2.0 ** (L - 53),
+              math.ldexp((1 << 52) + 1, q), -math.ldexp(1.0, q + 52)]
+        rng = random.Random(2300 + span)
+        while len(xs) < SUM_PIECE:  # pairs that cancel, with bits from 2^q up
+            v = math.ldexp(rng.getrandbits(52) | 1 << 52, rng.randrange(q, L - 53))
+            xs += [v, -v]
+        rng.shuffle(xs)
+        for scale in (1.0, -1.0, 2.0 ** -600, -(2.0 ** 600)):
+            a = np.array(xs) * scale
+            want = repr(math.fsum(a.tolist()))
+            assert repr(exact_fsum(lambda: [a])) == want
+            assert repr(exact_fsum(lambda: [a[:777], a[777:]])) == want
+
     def test_empty_chunks(self):
         a = np.array([0.25, -3.0, 1e-20])
         assert exact_fsum(lambda: []) == 0.0
@@ -396,6 +434,105 @@ class TestGraphSumIsFsum:
                 continue
             terms = mask_products(n, V.mayer_weights())
             assert repr(ursell_graph_sum(V)) == repr(math.fsum(terms.tolist()))
+
+
+def scalar_hard_core_sum(V):
+    """Phi of a hard-core V written out: (-1)^|H| summed over the edge sets
+    H of the +inf pairs that connect [n], each tested by the scalar oracle."""
+    hard = [k for k, v in enumerate(V.pair_values) if v == INF]
+    total = 0
+    for sub in range(1 << len(hard)):
+        mask = sum(1 << k for t, k in enumerate(hard) if sub >> t & 1)
+        if O._mask_connected(V.n, mask):
+            total += (-1) ** mask.bit_count()
+    return total
+
+
+# +inf graphs at the density extremes: none, every pair, every pair off
+# vertex n-1 (so nothing spans), and the workload's 40% of the pairs
+INF_GRAPHS = {
+    "empty": lambda n: [],
+    "complete": lambda n: G.vertex_pairs(n),
+    "not-spanning": lambda n: [(i, j) for i, j in G.vertex_pairs(n) if j < n - 1],
+    "sparse": lambda n: random.Random(2400 + n).sample(G.vertex_pairs(n), round(0.4 * G.num_pairs(n))),
+}
+
+
+class TestHardCoreRoutes:
+    # the complete graph at n = 7 would take 2^21 scalar tests: the closed form below covers it
+    @pytest.mark.parametrize("shape,n", [(shape, n) for shape in sorted(INF_GRAPHS)
+                                         for n in range(1, 8) if (shape, n) != ("complete", 7)])
+    def test_graph_sum_equals_scalar_subgraph_sum(self, shape, n):
+        V = InteractionMatrix(n, {p: INF for p in INF_GRAPHS[shape](n)})
+        phi = ursell_graph_sum(V)
+        assert type(phi) is int and phi == scalar_hard_core_sum(V)
+        for scheme in ("penrose", "kruskal"):
+            tree = ursell_tree_identity(V, scheme)
+            assert type(tree) is int and tree == phi
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_complete_inf_graph_is_the_linear_tree_count(self, n):
+        # every pair +inf: the alternating connected-graph sum (-1)^(n-1) (n-1)!
+        V = InteractionMatrix(n, {p: INF for p in G.vertex_pairs(n)})
+        expect = (-1) ** (n - 1) * math.factorial(n - 1)
+        for value in (ursell_graph_sum(V), ursell_tree_identity(V, "penrose"),
+                      ursell_tree_identity(V, "kruskal")):
+            assert type(value) is int and value == expect
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_routes_are_the_same_in_chunks(self, monkeypatch, n):
+        rng = random.Random(2500 + n)
+        mats = [random_hardcore(n, rng, p_inf=p) for p in (0.5, 0.8, 1.0)]
+
+        def routes():
+            return [(ursell_graph_sum(V), ursell_tree_identity(V, "penrose"),
+                     ursell_tree_identity(V, "kruskal")) for V in mats]
+
+        whole = routes()
+        G.connected_bits.cache_clear()
+        # 2^6 subsets, 6 trees and 100 / 8 bitset masks, not whole bytes, per step
+        monkeypatch.setattr(G, "MASK_CHUNK", 100)
+        try:
+            assert routes() == whole
+        finally:
+            G.connected_bits.cache_clear()
+        assert all(a == b == c == ursell_partition_formula(V) for (a, b, c), V in zip(whole, mats))
+
+
+def parent_tree_sum(V, scheme):
+    """The float tree route as one product over each row of tree pairs:
+    prod(axis=1) of w over the tree's pairs times exp(-(added @ finite)),
+    0 where an added pair is +inf, per chunk of rows, then math.fsum."""
+    n = V.n
+    t = G.tree_table(n)
+    vals = np.array(V.pair_values)
+    forbidden = vals == INF
+    finite = np.where(forbidden, 0.0, vals)
+    w = np.array(V.mayer_weights())
+    added = (G.penrose_added(n) if scheme == "penrose"
+             else G.kruskal_added(G.EdgeOrder.from_weights(n, V.value)))
+    terms = []
+    for rows in t.chunks():
+        extra = added[rows]
+        term = w[t.pairs[rows]].prod(axis=1) * np.exp(-(extra @ finite))
+        term[(extra & forbidden).any(axis=1)] = 0.0
+        terms.extend(term.tolist())
+    return math.fsum(terms)
+
+
+class TestTreeSumIsFsum:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_float_tree_routes_equal_fsum_of_row_products(self, n):
+        rng = random.Random(2600 + n)
+        mats = [random_matrix(n, rng, p_inf=0.2, lo=-0.5, hi=2.0),
+                random_matrix(n, rng, p_inf=0.0, lo=-3.0, hi=3.0),
+                InteractionMatrix(n, {p: rng.choice([0.0, 1e-12, -0.25, 4.0, INF])
+                                      for p in G.vertex_pairs(n)})]
+        for V in mats:
+            if V.is_hard_core:
+                continue
+            for scheme in ("penrose", "kruskal"):
+                assert repr(ursell_tree_identity(V, scheme)) == repr(parent_tree_sum(V, scheme))
 
 
 class TestTextForm:
