@@ -9,6 +9,7 @@ mayer       discrete-volume coefficients, classical bounds, virial toolbox
 polymer     abstract polymer gas, convergence criteria, bound catalog
 ising       2D Ising sums, both polymer expansions, duality, thresholds
 hardsphere  overlap integrals and the improved planar radius bound
+numerics    exact truncated power series, bisection, golden section; imports no other module
 cli         command-line interface over all of the above
 oracles     scalar reference implementations for the tests; the package does not import it
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import grid_max
+
 MC_BATCH = 1 << 17  # samples drawn per step; the stream, hence the estimate, depends on it
 
 #: Reference values of g(2, s) used by the d=2 radius bound; s = 5 is an
@@ -159,8 +161,6 @@ class ImprovedRadius:
 
 def improved_radius(gtable=None) -> ImprovedRadius:
     """Maximise mu / C_2(mu) by golden section after a coarse grid pass."""
-    from .mayer import grid_max
-
     gtable = G2_REFERENCE if gtable is None else tuple(gtable)
     m, value = grid_max(lambda m: m / cd_polynomial(m, gtable), np.linspace(1e-6, 10.0, 4001))
     return ImprovedRadius(m, value, classical_radius_coefficient(), gtable)

@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import CapExceededError
+from .numerics import bisect_root
 
 TRANSFER_CAP = 7  # the density-of-states transfer places L^2 sites over 2^L frontier states
 HIGH_T_CAP = 6  # the even-subgraph walk visits 2^((L-1)^2) cycle-space elements
@@ -389,8 +390,6 @@ def duality_check(L: int, beta: float) -> DualityReport:
     the identity and the involution phi(phi(b)) = b are probed at b = 0.2,
     0.5 and 1.0.
     """
-    from .mayer import bisect_root
-
     counts = even_subgraph_size_counts(L)
     u = math.exp(-2.0 * dual_coupling(beta))
     xi_high, _ = high_T_polymer_Z(L, beta)
@@ -518,8 +517,6 @@ def _animal_quartic_root() -> float:
     """Root of e^(4a) y^4 + (e^(2a) - e^a) y - (e^a - 1) = 0 on (0, 1) at
     a = ANIMAL_A: the largest admissible value of 3*(activity) in the high-
     and low-temperature counting conditions."""
-    from .mayer import bisect_root
-
     a = ANIMAL_A
     f = lambda y: math.exp(4 * a) * y**4 + (math.exp(2 * a) - math.exp(a)) * y - (math.exp(a) - 1.0)
     return bisect_root(f, 1e-9, 1.0)
@@ -540,8 +537,6 @@ class ThresholdReport:
 def animal_counts_and_thresholds() -> ThresholdReport:
     """Exact small-animal counts plus the four coupling thresholds, all by
     root-solving the scalar counting inequalities with C_n <= 3^n."""
-    from .mayer import bisect_root
-
     counts = closed_animals_through_origin()
     for m, c in counts.items():
         if c > 3**m:

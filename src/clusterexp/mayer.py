@@ -10,10 +10,10 @@ built truncated at z^n_max by a site-by-site transfer: the state is the
 occupancy of the processed sites that still interact with a later site (the
 frontier), so a sweep keeps at most sum_(k <= n_max) binom(w, k) states for
 a frontier of width w, and costs |volume| times that many polynomial steps.
-The power-series log follows from k h_k = k a_k - sum_(j<k) j h_j a_(k-j).
-Both steps run in exact rationals (each Boltzmann weight is the exact value
-of its float), so the coefficients are rounded once: exact rationals when
-the site interactions are all 0 or +inf, floats otherwise.
+The power-series log is ``numerics.Series.log``.  Both steps run in exact
+rationals (each Boltzmann weight is the exact value of its float), so the
+coefficients are rounded once: exact rationals when the site interactions
+are all 0 or +inf, floats otherwise.
 
 Alongside the coefficients: the three closed-form bounds (double-stability,
 tree-graph, and the (n-1)-normalised variant), the coefficient recursion
@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .graphs import CapExceededError
+from .numerics import Series, bisect_root, grid_max
 from .potentials import PairPotentialSpec, is_nonnegative, potential_eval
 
 INF = math.inf
@@ -143,18 +143,18 @@ def _site_order(volume: DiscreteVolume, vals: list[list[float]]) -> tuple[list[i
     return best
 
 
-def _grand_partition(vals: list[list[float]], order: list[int], n_max: int) -> list:
+def _grand_partition(vals: list[list[float]], order: list[int], n_max: int) -> Series:
     """Coefficients a_0..a_n_max of Xi(z) = sum_S z^|S| e^(-U(S)) by the
     site-by-site transfer.
 
-    Each state maps the occupied frontier sites (a bitmask) to the weights of
-    its configurations by particle number.  Weights are Python ints while
-    every energy is 0, exact Fractions of the float Boltzmann weights after.
+    Each state maps the occupied frontier sites (a bitmask) to the series of
+    its configurations' weights by particle number.  Weights are Python ints
+    while every energy is 0, exact Fractions of the float Boltzmann weights after.
     """
     retire = [0] * len(order)  # frontier bits dropped after position p
     for i, last in zip(order, _last_partner(vals, order)):
         retire[last] |= 1 << i
-    states: dict[int, list] = {0: [1] + [0] * n_max}
+    states: dict[int, Series] = {0: Series((1,) + (0,) * n_max)}
     for p, i in enumerate(order):
         blocked = 0
         soft = []
@@ -164,37 +164,25 @@ def _grand_partition(vals: list[list[float]], order: list[int], n_max: int) -> l
             elif vals[i][j] != 0.0:
                 soft.append((1 << j, vals[i][j]))
         keep = ~retire[p]
-        nxt: dict[int, list] = {}
+        nxt: dict[int, Series] = {}
 
-        def add(key: int, poly: list) -> None:
+        def add(key: int, poly: Series) -> None:
             got = nxt.get(key & keep)
-            nxt[key & keep] = poly if got is None else [x + y for x, y in zip(got, poly)]
+            nxt[key & keep] = poly if got is None else got + poly
 
         for mask, poly in states.items():
             add(mask, poly)
             if mask & blocked or not any(poly[:-1]):
                 continue  # site i is excluded, or every configuration is full
             e = sum(v for b, v in soft if mask & b)
-            if e == 0.0:
-                add(mask | 1 << i, [0] + poly[:-1])
-                continue
             try:
-                w = Fraction(math.exp(-e))
+                w = 1 if e == 0.0 else Fraction(math.exp(-e))
             except OverflowError:
                 raise ValueError(f"Boltzmann weight e^{-e:.6g} overflows a float") from None
-            add(mask | 1 << i, [0] + [c * w for c in poly[:-1]])
+            add(mask | 1 << i, w * poly)
         states = nxt
     (poly,) = states.values()  # every site has left the frontier
     return poly
-
-
-def _log_series(a: list) -> list[Fraction]:
-    """h_0..h_N of log(sum a_k z^k) for a_0 = 1, by k h_k = k a_k -
-    sum_(j<k) j h_j a_(k-j)."""
-    h = [Fraction(0)] * len(a)
-    for k in range(1, len(a)):
-        h[k] = (k * a[k] - sum(j * h[j] * a[k - j] for j in range(1, k))) / Fraction(k)
-    return h
 
 
 def mayer_coefficients(
@@ -234,7 +222,7 @@ def mayer_coefficients(
         )
     hard = all(v == 0.0 or v == INF for row in vals for v in row)
     c_lat, ct_lat = lattice_integrals(vals)
-    h = _log_series(_grand_partition(vals, order, top))
+    h = _grand_partition(vals, order, top).log()
     try:
         values = [h[n] / m if hard else float(h[n] / m) for n in range(1, top + 1)]
     except OverflowError:
@@ -353,55 +341,6 @@ def euler_partial_sums(x: float, n_terms: int) -> list[float]:
 
 def virial_objective(w: float) -> float:
     return w * (2.0 * math.exp(-w) - 1.0)
-
-
-def grid_max(f: Callable[[float], float], grid: Sequence[float]) -> tuple[float, float]:
-    """(x, f(x)) at the maximum of f: the best point of ``grid`` (the first on
-    ties) and its two neighbours bracket it, and golden-section search shrinks
-    the bracket [a, b] until b - a <= 1e-12 * max(1, a); x is its midpoint."""
-    vals = [f(x) for x in grid]
-    k = max(range(len(vals)), key=vals.__getitem__)
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12 * max(1.0, a):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """A root of f in [lo, hi] by bisection, which needs f(lo) and f(hi) of
-    opposite signs (or one of them zero); it halves the bracket until the
-    midpoint equals an endpoint, so the result is within one float of a sign
-    change of f."""
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
 
 
 def virial_max_golden() -> tuple[float, float]:

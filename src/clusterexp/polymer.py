@@ -3,12 +3,12 @@
 Polymers interact only through a symmetric incompatibility relation (a pure
 hard core), so the grand-canonical sum over a finite volume is the
 independence polynomial of the incompatibility graph.  One memoised deletion
-recursion computes it for numbers, activity monomials and exact series (the
-pinned absolute series).  On top sit the truncated cluster series, the
-monotone fixed-point iteration, and the three classical sufficient conditions
-for convergence -- exponential (Kotecky-Preiss), product (Dobrushin) and
-neighborhood-partition-function (Fernandez-Procacci) -- each with its
-optimised constant on regular models.
+recursion computes it for numbers, activity monomials and exact series
+(``numerics.Series``, for the pinned absolute series).  On top sit the
+truncated cluster series, the monotone fixed-point iteration, and the three
+classical sufficient conditions for convergence -- exponential
+(Kotecky-Preiss), product (Dobrushin) and neighborhood-partition-function
+(Fernandez-Procacci) -- each with its optimised constant on regular models.
 
 The truncated cluster series reads each hard-core Ursell coefficient from one
 table over all graphs on n <= CLUSTER_ORDER_CAP vertices (``_phi_table``, 2 ms
@@ -32,7 +32,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .graphs import CapExceededError, connected_masks, num_pairs, vertex_pairs
-from .mayer import bisect_root, grid_max
+from .numerics import Series, bisect_root, grid_max
 from .potentials import call_checked
 
 VOLUME_CAP = 128  # polymers per region; also bounds the recursion depth
@@ -356,18 +356,6 @@ class PinnedSeries:
         return self.partials[-1]
 
 
-class _Series(tuple):
-    """Integer power series c_0 + c_1 s + ... truncated at a fixed order: the
-    values of the deletion recursion behind ``pinned_series``, where an int
-    activity c stands for the term c s."""
-
-    def __add__(self, other: "_Series") -> "_Series":
-        return _Series(a + b for a, b in zip(self, other))
-
-    def __rmul__(self, c: int) -> "_Series":
-        return _Series((0, *(c * a for a in self[:-1])))
-
-
 def pinned_series(sys: PolymerSystem, gamma0: Polymer, order: int,
                   rho: Mapping[Polymer, float] | float) -> PinnedSeries:
     """Truncated pinned absolute series sum (1/n!) |phi(g0, g_1..g_n)| rho...
@@ -387,14 +375,13 @@ def pinned_series(sys: PolymerSystem, gamma0: Polymer, order: int,
     fracs = [Fraction(rho_map[g]) for g in sys.polymers]
     D = math.lcm(*(f.denominator for f in fracs))
     z = [-f.numerator * (D // f.denominator) for f in fracs]
-    one = _Series((1,) + (0,) * order)
+    one = Series((1,) + (0,) * order)  # an int activity c stands for the term c s
     full = _region_mask(sys, None)
     outside = full & ~_region_mask(sys, sys.neighborhood(gamma0))
     den, num = _independence(sys, [full, outside], z, one)
-    q, partials, acc = [], [], 0
-    for n in range(order + 1):
-        q.append(num[n] - sum(den[j] * q[n - j] for j in range(1, n + 1)))  # num / den; den[0] = 1
-        acc = acc * D + q[n]  # the partial through order n, times D^n
+    partials, acc = [], 0
+    for n, q in enumerate(num / den):  # den[0] = 1
+        acc = acc * D + q  # the partial through order n, times D^n
         partials.append(acc / D**n)
     return PinnedSeries(gamma0, partials)
 

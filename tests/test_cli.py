@@ -434,6 +434,23 @@ class TestHarness:
         assert not modules_loaded_by("ising z --L 3") & unrelated
         assert "clusterexp.graphs" not in modules_loaded_by("hardsphere gtilde --samples 1000")
 
+    def test_duality_and_polymer_criteria_load_no_mayer(self):
+        # bisect_root and grid_max live in the leaf module numerics, so these
+        # commands pay for neither mayer nor potentials
+        assert not modules_loaded_by("ising duality --L 4 --beta 0.3") & {
+            "clusterexp.mayer", "clusterexp.potentials"}
+        assert "clusterexp.mayer" not in modules_loaded_by("polymer criteria --model domino")
+
+    def test_commands_without_exact_series_do_not_import_decimal(self):
+        # fractions imports decimal, about 0.4 MiB; numerics imports it only in Series.log
+        script = ("import contextlib, io, sys\n"
+                  "from clusterexp import cli\n"
+                  "for argv in ('ising duality --L 4 --beta 0.3', 'hardsphere gtilde --samples 1000'):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        assert cli.main(argv.split()) == 0, argv\n"
+                  "print('decimal' in sys.modules)\n")
+        assert fresh_process(script) == "False"
+
     def test_bare_import_and_version_load_no_submodule_and_no_numpy(self):
         script = ("import sys\n"
                   "import clusterexp\n"

@@ -8,6 +8,7 @@ import pytest
 from clusterexp import mayer as M
 from clusterexp import potentials as P
 from clusterexp.graphs import CapExceededError
+from clusterexp.numerics import bisect_root
 from clusterexp.polymer import _multiplicity_factorial
 from clusterexp.ursell import INF, InteractionMatrix, ursell_graph_sum
 
@@ -178,6 +179,18 @@ class TestTransfer:
             assert g == pytest.approx(w, rel=1e-12, abs=1e-300)
         again = [r.value for r in M.mayer_coefficients(vol, spec, beta, n_max)]
         assert again == got  # bit for bit
+
+    @pytest.mark.parametrize("beta,want", [
+        (0.77, ["0x1.0000000000000p+0", "-0x1.3a6939b55b1e0p-3", "-0x1.8e74fc1004217p-3",
+                "0x1.702b3430f4e6ap-3", "0x1.9a74e34140438p-6", "-0x1.d4afee8f77ba5p-4"]),
+        (1.4, ["0x1.0000000000000p+0", "0x1.914d92cc47dcbp-3", "-0x1.92032e03c5b34p-2",
+               "-0x1.bae7563daf565p-3", "0x1.565daf8770e9ap-3", "0x1.063b1b47620fep+0"]),
+    ])
+    def test_step_table_pinned_bit_for_bit(self, beta, want):
+        # each C_n is one exact rational rounded once, so any change to the
+        # arithmetic of the transfer or of Series.log shows in these bits
+        recs = M.mayer_coefficients(M.DiscreteVolume.grid(3, 3), STEP, beta, 6)
+        assert [float.hex(r.value) for r in recs] == want
 
     def test_site_order_does_not_matter(self):
         vol = M.DiscreteVolume.grid(3, 4)
@@ -362,27 +375,27 @@ class TestVirialTools:
 class TestBisectRoot:
     def test_refuses_a_bracket_without_a_sign_change(self):
         with pytest.raises(ValueError, match="same sign"):
-            M.bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="same sign"):
-            M.bisect_root(lambda x: x - 2.0, 0.0, 1.0)
+            bisect_root(lambda x: x - 2.0, 0.0, 1.0)
 
     def test_a_zero_endpoint_is_the_root(self):
-        assert M.bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
-        assert M.bisect_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+        assert bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert bisect_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
 
     def test_self_dual_coupling_within_one_ulp(self):
         from clusterexp.ising import dual_coupling
 
-        root = M.bisect_root(lambda b: dual_coupling(b) - b, 0.2, 1.0)
+        root = bisect_root(lambda b: dual_coupling(b) - b, 0.2, 1.0)
         exact = math.log(1.0 + math.sqrt(2.0)) / 2.0
         assert abs(root - exact) <= math.ulp(exact)
 
     def test_unbounded_spin_threshold_within_one_ulp(self):
-        root = M.bisect_root(lambda t: -math.log1p(-4.0 * math.e * t) - 1.0,
-                             1e-12, 1.0 / (4.0 * math.e) - 1e-12)
+        root = bisect_root(lambda t: -math.log1p(-4.0 * math.e * t) - 1.0,
+                           1e-12, 1.0 / (4.0 * math.e) - 1e-12)
         exact = (math.e - 1.0) / (4.0 * math.e**2)
         assert abs(root - exact) <= math.ulp(exact)
 
     def test_decreasing_function(self):
-        root = M.bisect_root(lambda x: 2.0 - x * x, 0.0, 2.0)
+        root = bisect_root(lambda x: 2.0 - x * x, 0.0, 2.0)
         assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))

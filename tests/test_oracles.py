@@ -1,5 +1,6 @@
 """The scalar oracles stay apart from the fast routes: ``oracles`` reads no
-fast-route table, and no other module of the package imports ``oracles``."""
+fast-route table, and no other module of the package imports ``oracles``.
+The shared numerics stay a leaf: ``numerics`` imports no package module."""
 
 import ast
 from pathlib import Path
@@ -11,7 +12,7 @@ PACKAGE = Path(O.__file__).parent
 # the shared tables and kernels of the fast routes
 FAST_TABLES = {"tree_table", "connected_masks", "connected_bits", "_components", "_prufer_decode", "penrose_added",
                "tree_paths", "kruskal_added", "exact_fsum", "_phi_table", "_grand_partition",
-               "_independence", "_density_of_states"}
+               "_independence", "_density_of_states", "Series"}
 
 
 def test_oracles_name_no_fast_table():
@@ -40,3 +41,12 @@ def test_package_does_not_import_oracles():
             else:
                 continue
             assert "oracles" not in names, (path.name, ast.dump(node))
+
+
+def test_numerics_is_a_leaf():
+    # every model imports numerics at the top, so it must load no model
+    for node in ast.walk(ast.parse((PACKAGE / "numerics.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and (node.module or "").split(".")[0] != "clusterexp", ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "clusterexp" for alias in node.names), ast.dump(node)

@@ -343,6 +343,21 @@ class TestDeletionRecursion:
             want = pinned_oracle(s, g0, order, rho)
             assert all(math.isclose(g, w, rel_tol=1e-13) for g, w in zip(got, want)), (got, want)
 
+    @pytest.mark.parametrize("rho,want", [
+        (0.05, ["0x1.0000000000000p+0", "0x1.599999999999ap+0", "0x1.7cccccccccccdp+0",
+                "0x1.8b4bc6a7ef9dbp+0", "0x1.916dc5d638866p+0", "0x1.94126e978d4fep+0",
+                "0x1.953a209aaa3adp+0", "0x1.95bcb960087e5p+0", "0x1.95f6e1e537d2bp+0"]),
+        (0.0371, ["0x1.0000000000000p+0", "0x1.427bb2fec56d6p+0", "0x1.55dcf1073eb8ap+0",
+                  "0x1.5bc8f19e46391p+0", "0x1.5da4d7a622389p+0", "0x1.5e3d0898109a4p+0",
+                  "0x1.5e6e61a2919c4p+0", "0x1.5e7e8da1076dfp+0", "0x1.5e83e59e5a41ap+0"]),
+    ])
+    def test_pinned_domino_bit_for_bit(self, rho, want):
+        # each partial is an exact integer quotient rounded once, so any change
+        # to the series division or the common-denominator rounding shows here
+        s = PL.domino_system(5, 5)
+        got = PL.pinned_series(s, PL.domino_center(s), 8, rho).partials
+        assert [float.hex(p) for p in got] == want
+
     def test_pinned_exact_fraction_activities(self):
         # denominators 3, 5 and 7: the common denominator is their lcm, not
         # any one of them
