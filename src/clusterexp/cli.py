@@ -10,6 +10,11 @@ digits.  Exit status: 0 on success, 1 when a verify-mode invariant fails,
 Each handler imports the module it runs, and this module imports neither
 numpy nor any computation module at the top, so a fresh process compiles
 only what its subcommand needs (``--version`` loads none of them).
+
+``main`` runs numpy's OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS``
+is already set: its idle worker thread costs about 0.1 s of CPU per command,
+and no command makes a BLAS call large enough to use it.  The setting belongs
+to the command-line process; ``import clusterexp`` sets nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -603,9 +609,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _refuse_nan(args) -> None:
+    """``float`` reads "nan", which no option means: refuse it by name."""
+    for name, value in vars(args).items():
+        if any(isinstance(v, float) and math.isnan(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(f"--{name.replace('_', '-')} must be a number, got nan")
+
+
 def main(argv=None) -> int:
+    # Before any handler imports numpy, whose OpenBLAS reads this once on
+    # load: a worker thread it would start spins CPU and is never used.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
+        _refuse_nan(args)
         return args.fn(args)
     except ValueError as exc:  # invalid input or a refused cap is a usage error
         print(f"clusterexp {args.command}: error: {exc}", file=sys.stderr)

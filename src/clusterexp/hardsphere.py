@@ -118,15 +118,6 @@ def gtilde(d: int, k: int, samples: int = 1_000_000, seed: int = 0) -> OverlapEs
     return OverlapEstimate(d, k, p, se, samples, seed, exact=False)
 
 
-def g2_table(samples: int = 1_000_000, seed: int = 0) -> tuple[float, ...]:
-    """The d=2 factor table for s = 0..5: exact heads, Monte Carlo values
-    beyond; zero from s = 6 on."""
-    vals = [1.0, 1.0, gtilde_closed_form(2, 2)]
-    for s in (3, 4, 5):
-        vals.append(gtilde(2, s, samples=samples, seed=seed + s).estimate)
-    return tuple(vals)
-
-
 def cd_polynomial(mu: float, gtable) -> float:
     """C_d(mu) = sum over s of g(d, s) mu^s / s! for the table g(d, .) of one
     dimension d, a polynomial since the table vanishes beyond the packing

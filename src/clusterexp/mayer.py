@@ -356,6 +356,12 @@ def virial_max_newton() -> tuple[float, float]:
 
 def virial_radius(beta: float, Bbar: float, Ctilde: float) -> float:
     """The published lower bound 0.14477 / (Ctilde e^(beta Bbar))."""
-    if Ctilde <= 0:
+    if not Ctilde > 0:  # a NaN too
         raise ValueError("need Ctilde > 0")
-    return VIRIAL_NUMERATOR / (Ctilde * math.exp(beta * Bbar))
+    try:
+        radius = VIRIAL_NUMERATOR / (Ctilde * math.exp(beta * Bbar))
+    except (OverflowError, ZeroDivisionError):  # e^(beta Bbar) past either end of the floats
+        radius = math.nan
+    if not math.isfinite(radius):
+        raise ValueError(f"the virial radius at beta Bbar = {beta * Bbar!r} is not a finite float")
+    return radius

@@ -31,10 +31,14 @@ def assert_usage_error(capsys, argv, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
-def fresh_process(script: str) -> str:
-    """The last line ``script`` prints in a fresh interpreter that imports this package."""
+def fresh_process(script: str, **env_vars: str) -> str:
+    """The last line ``script`` prints in a fresh interpreter that imports this package,
+    with ``env_vars`` set and ``OPENBLAS_NUM_THREADS`` not inherited: an in-process
+    ``main`` call has set it in this process."""
     path = [str(Path(P.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -351,6 +355,16 @@ class TestHarness:
         (["hardsphere", "gtilde", "--seed", "-1"], "got seed -1"),
         (["ising", "z", "--L", "0", "--beta"], "need L >= 1"),
         (["ising", "z", "--L", "40", "--beta"], "even-subgraph enumeration capped at L=6"),
+        (["mayer", "virial", "--beta", "nan"], "--beta must be a number, got nan"),
+        (["mayer", "virial", "--Bbar", "nan"], "--Bbar must be a number, got nan"),
+        (["mayer", "virial", "--Ctilde", "nan"], "--Ctilde must be a number, got nan"),
+        (["mayer", "virial", "--beta", "1000", "--Bbar", "1"], "not a finite float"),
+        (["mayer", "virial", "--beta", "-1000", "--Bbar", "1"], "not a finite float"),
+        (["mayer", "virial", "--beta", "inf", "--Bbar", "0"], "not a finite float"),
+        (["ising", "z", "--L", "3", "--beta", "nan"], "--beta must be a number, got nan"),
+        (["ising", "z", "--L", "3", "--beta", "0.3", "nan"], "--beta must be a number, got nan"),
+        (["ising", "magnetization", "--L", "3", "--beta", "nan"],
+         "--beta must be a number, got nan"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
@@ -462,6 +476,37 @@ class TestHarness:
                   "    pass\n"
                   "print(bare, 'numpy' in sys.modules)\n")
         assert fresh_process(script) == "['clusterexp'] False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_a_command_runs_blas_on_one_thread_unless_the_user_chose(self):
+        # OpenBLAS would start a worker thread on load that no command uses
+        script = ("import contextlib, io, os\n"
+                  "from clusterexp import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    assert cli.main(['graphs', 'count', '--n', '4']) == 0\n"
+                  "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n")
+        assert fresh_process(script) == "1 1"
+        assert fresh_process(script, OPENBLAS_NUM_THREADS="2").split()[1] == "2"
+
+    def test_the_library_sets_no_blas_thread_count(self):
+        script = ("import os\n"
+                  "from clusterexp import ursell\n"
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        assert fresh_process(script) == "None"
+
+    def test_cli_imports_only_cheap_modules_at_the_top(self):
+        # the --version start-up pays for every top-level import; the rest
+        # is imported by the handler that needs it
+        tree = ast.parse(Path(main.__code__.co_filename).read_text())
+        imports = set()
+        for node in (n for stmt in tree.body if not isinstance(stmt, ast.FunctionDef)
+                     for n in ast.walk(stmt)):
+            if isinstance(node, ast.Import):
+                imports.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imports.update(f"{'.' * node.level}{node.module or ''}:{alias.name}"
+                               for alias in node.names)
+        assert imports <= {"argparse", "csv", "json", "math", "os", "sys", ".:__version__"}
 
     def test_commands_without_quadrature_do_not_import_scipy(self):
         script = ("import sys\n"

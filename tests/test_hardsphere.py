@@ -119,7 +119,8 @@ class TestImprovedRadius:
         assert r.gain > 1.35
 
     def test_mc_table_feeds_radius(self):
-        table = H.g2_table(samples=150_000, seed=3)
+        table = (1.0, 1.0, H.gtilde_closed_form(2, 2),
+                 *(H.gtilde(2, s, samples=150_000, seed=3 + s).estimate for s in (3, 4, 5)))
         r = H.improved_radius(gtable=table)
         assert r.coefficient == pytest.approx(0.512, abs=5e-3)
 

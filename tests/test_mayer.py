@@ -350,9 +350,15 @@ class TestVirialTools:
 
     def test_radius_refuses_a_nonpositive_ctilde(self):
         assert M.virial_radius(2.0, 0.0, 1.0) == 0.14477
-        for ctilde in (0.0, -0.3):
+        for ctilde in (0.0, -0.3, math.nan):
             with pytest.raises(ValueError, match="Ctilde > 0"):
                 M.virial_radius(1.0, 0.5, ctilde)
+
+    @pytest.mark.parametrize("beta,Bbar", [(1000.0, 1.0), (-1000.0, 1.0), (math.inf, 0.0),
+                                           (math.nan, 0.5)])
+    def test_radius_refuses_a_radius_past_the_floats(self, beta, Bbar):
+        with pytest.raises(ValueError, match="not a finite float"):
+            M.virial_radius(beta, Bbar, 0.3)
 
     def test_branch_edges(self):
         assert M.solve_w(0.0) == 0.0
