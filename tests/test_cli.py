@@ -365,6 +365,15 @@ class TestHarness:
         (["ising", "z", "--L", "3", "--beta", "0.3", "nan"], "--beta must be a number, got nan"),
         (["ising", "magnetization", "--L", "3", "--beta", "nan"],
          "--beta must be a number, got nan"),
+        (["mayer", "ks", "--beta", "1000", "--B", "1"], "past the float range"),
+        (["mayer", "ks", "--C", "1e300", "--m-max", "40"], "past the float range"),
+        (["mayer", "ks", "--beta=-1000", "--B", "1"], "past the float range"),
+        (["mayer", "radii", "--beta=-1000", "--B", "1"], "past the float range"),
+        (["polymer", "catalog", "--which", "nbody_lattice_gas", "--params", "z=1", "beta=1000",
+          "J=1"], "past the float range"),
+        (["hardsphere", "volume", "--n", "400", "--r", "10"], "past the float range"),
+        (["mayer", "radii", "--beta", "inf"], "beta B = nan is not a finite float"),
+        (["mayer", "ks", "--beta", "inf"], "beta B = nan is not a finite float"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
@@ -380,6 +389,8 @@ class TestHarness:
         ["--L", "3", "--beta", "60"],
         ["--L", "5", "--beta", "18.5"],
         ["--L", "4", "--beta", "0.3", "-30"],
+        ["--L", "3", "--beta", "inf"],
+        ["--L", "2", "--beta=-inf"],
     ])
     def test_ising_z_past_the_float_range_is_refused(self, capsys, argv):
         assert_usage_error(capsys, ["ising", "z"] + argv, "Z is past the largest float")
@@ -401,6 +412,8 @@ class TestHarness:
     @pytest.mark.parametrize("argv", [
         ["--L", "4", "--beta", "30"],
         ["--L", "4", "--beta", "-30", "--boundary", "plus"],
+        ["--L", "3", "--beta", "inf"],
+        ["--L", "3", "--beta=-inf"],
     ])
     def test_ising_magnetization_past_the_float_range_is_refused(self, capsys, argv):
         with warnings.catch_warnings():

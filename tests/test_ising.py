@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +166,36 @@ class TestHighTemperature:
             I.high_T_polymer_Z(L, 0.3)
 
 
+def identity_configurations(L: int):
+    """Every configuration for L <= 3; beyond, 512 seeded samples."""
+    if L <= 3:
+        return range(1 << (L * L))
+    return np.random.default_rng(0).integers(0, 1 << (L * L), size=512).tolist()
+
+
+def contour_energy_identity(L: int, contours_of) -> tuple[bool, list[int]]:
+    """Whether, on every configuration of ``identity_configurations`` under
+    + boundary, the pair sum from the neighbours of each site (outside the
+    box reads +1) equals 2L(L+1) - 2 (total perimeter of ``contours_of``),
+    and the contour sizes seen."""
+    ok, sizes = True, []
+    for cfg in identity_configurations(L):
+        spins = np.array([1 - 2 * (cfg >> k & 1) for k in range(L * L)]).reshape(L, L)
+        pair_sum = 0
+        for r in range(L):
+            for c in range(L):
+                s = spins[r, c]
+                if c + 1 < L:
+                    pair_sum += s * spins[r, c + 1]
+                if r + 1 < L:
+                    pair_sum += s * spins[r + 1, c]
+                pair_sum += s * ((r == 0) + (r == L - 1) + (c == 0) + (c == L - 1))
+        contours = contours_of(spins.ravel(), L)
+        ok &= pair_sum == 2 * L * (L + 1) - 2 * sum(len(g) for g in contours)
+        sizes.extend(len(g) for g in contours)
+    return ok, sizes
+
+
 class TestLowTemperature:
     @pytest.mark.parametrize("L", [2, 3, 4])
     @pytest.mark.parametrize("bj", BETAS)
@@ -169,36 +203,34 @@ class TestLowTemperature:
         rep = I.low_T_contour_Z(L, bj)
         zb = I.brute_force_Z(L, bj, boundary="plus")
         assert rep.z_reconstructed == pytest.approx(zb, rel=1e-12)
-        assert rep.energy_identity_ok
-        assert rep.boundary_pairs == 2 * L * (L + 1)
 
-    def test_minimal_contour_has_four_edges(self):
-        rep = I.low_T_contour_Z(3, 0.5)
-        assert rep.min_contour_size == 4
-
-    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_cached_identity_matches_per_configuration_loop(self, L):
-        # oracle: every configuration, energy from the neighbours of each
-        # site (outside the box reads +1), perimeter from the contours
-        ok, sizes = True, []
-        for cfg in range(1 << (L * L)):
-            spins = np.array([1 - 2 * (cfg >> k & 1) for k in range(L * L)]).reshape(L, L)
-            pair_sum = 0
-            for r in range(L):
-                for c in range(L):
-                    s = spins[r, c]
-                    if c + 1 < L:
-                        pair_sum += s * spins[r, c + 1]
-                    if r + 1 < L:
-                        pair_sum += s * spins[r + 1, c]
-                    pair_sum += s * ((r == 0) + (r == L - 1) + (c == 0) + (c == L - 1))
-            contours = I.spins_to_contours(spins.ravel(), L)
-            ok &= pair_sum == 2 * L * (L + 1) - 2 * sum(len(g) for g in contours)
-            sizes.extend(len(g) for g in contours)
-        for bj in (0.3, 0.6, 1.4):
-            rep = I.low_T_contour_Z(L, bj)
-            assert (rep.energy_identity_ok, rep.min_contour_size) == (ok, min(sizes))
+        # H = -2L(L+1) + 2 (total contour perimeter), which the contour route
+        # reweights, on the geometric contours; the smallest is one flipped site
+        ok, sizes = contour_energy_identity(L, I.spins_to_contours)
         assert ok and min(sizes) == 4
+
+    def test_identity_loop_reports_a_dropped_edge(self):
+        def drop_one_edge(spins, L):
+            return [frozenset(sorted(g)[1:]) for g in I.spins_to_contours(spins, L)]
+
+        ok, _ = contour_energy_identity(3, drop_one_edge)
+        assert not ok
+
+    def test_contour_route_extracts_no_contours(self):
+        # a fresh process, so that no cache filled by another test hides a call
+        script = ("from clusterexp import ising\n"
+                  "def refuse(spins, L):\n"
+                  "    raise AssertionError('the contour route extracted contours')\n"
+                  "ising.spins_to_contours = refuse\n"
+                  "print([ising.low_T_contour_Z(L, 0.5).xi_contour > 1 for L in range(1, 6)])\n")
+        path = [str(Path(I.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[True, True, True, True, True]\n"
 
     def test_all_plus_has_no_contours(self):
         spins = np.ones(9, dtype=int)

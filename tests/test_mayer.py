@@ -313,6 +313,13 @@ class TestKSRecursion:
         with pytest.raises(ValueError):
             M.ks_recursion(41, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("beta,B", [(math.inf, 0.0), (1.0, math.inf), (-math.inf, 2.0)])
+    def test_nonfinite_beta_B_refused_by_name(self, beta, B):
+        with pytest.raises(ValueError, match="beta B = .* is not a finite float"):
+            M.ks_recursion(6, beta, B, 0.3)
+        with pytest.raises(ValueError, match="beta B = .* is not a finite float"):
+            M.radius_bounds(beta, B, 2.0, 1.0)
+
 
 class TestVirialTools:
     def test_boundary_identity(self):
