@@ -307,7 +307,10 @@ def _build_model(name: str, rho: float) -> tuple:
         sys_ = polymer.triangular_window(2, rho)
         return sys_, (0, 0)
     if name.startswith("delta:"):
-        delta = int(name.split(":", 1)[1])
+        try:
+            delta = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"model {name!r} is not of the form delta:<k>, k an integer") from None
         sys_ = polymer.delta_regular_system(delta, rho)
         return sys_, "c"
     raise ValueError(f"unknown model {name!r} (domino, triangular, delta:<k>)")
@@ -322,6 +325,7 @@ def _cmd_polymer(args) -> int:
         for which in ("kp", "dob", "fp"):
             mu, val = polymer.optimize_constant_mu(sys_, center, which)
             out[which] = {"radius": val, "mu": mu}
+        out["fp"]["exact"] = polymer.constant_mu_rule(sys_, center, "fp")[1]
         payload = {"command": "polymer", "action": "criteria", "model": args.model,
                    "kp": out["kp"], "dob": out["dob"], "fp": out["fp"]}
         _emit(args, payload)

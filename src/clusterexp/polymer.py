@@ -2,11 +2,12 @@
 
 Polymers interact only through a symmetric incompatibility relation (a pure
 hard core), so the grand-canonical sum over a finite volume is the
-independence polynomial of the incompatibility graph.  One memoised deletion
-recursion computes it for numbers, activity monomials and exact series
-(``numerics.Series``, for the pinned absolute series).  On top sit the
-truncated cluster series, the monotone fixed-point iteration, and the three
-classical sufficient conditions for convergence -- exponential
+independence polynomial of the incompatibility graph.  The deletion recursion
+is built once per set of regions as a step list (``_deletion_plan``) and
+evaluated for numbers, activity monomials and exact series
+(``numerics.Series``, for the pinned absolute series) by ``_run_plan``.  On
+top sit the truncated cluster series, the monotone fixed-point iteration, and
+the three classical sufficient conditions for convergence -- exponential
 (Kotecky-Preiss), product (Dobrushin) and neighborhood-partition-function
 (Fernandez-Procacci) -- each with its optimised constant on regular models.
 
@@ -119,28 +120,43 @@ def _region_mask(sys: PolymerSystem, region: Iterable[Polymer] | None) -> int:
     return sum(1 << sys._index[g] for g in _known(sys, region))
 
 
-def _independence(sys: PolymerSystem, regions: Sequence[int], z: Sequence, one) -> list:
-    """Xi of each region (a bitmask over ``sys.polymers``) by the memoised
-    deletion recursion Xi(R) = Xi(R - g) + z_g Xi(R - N[g]), g the lowest
-    polymer of R, with Xi(empty) = ``one``.  The values need only ``+`` and
-    ``z_g * value``; one memo serves all the regions."""
+def _deletion_plan(sys: PolymerSystem, regions: Sequence[int]) -> tuple[list, list]:
+    """The deletion recursion Xi(R) = Xi(R - g) + z_g Xi(R - N[g]), g the
+    lowest polymer of R, for regions given as bitmasks over ``sys.polymers``,
+    as a plan (steps, outs) that ``_run_plan`` evaluates.  State 0 is the
+    empty region; step i makes state i + 1 from its (k, a, b) triple as state
+    a + z_k state b, in the order the recursion finishes the states, and
+    ``outs`` are the states of the regions.  One memo serves all regions."""
     if any(r.bit_count() > VOLUME_CAP for r in regions):
         raise CapExceededError(f"region capped at {VOLUME_CAP} polymers")
     nbr = sys._nbr_masks
-    memo = {0: one}
+    memo = {0: 0}
+    steps: list = []
 
-    def xi(r: int):
+    def state(r: int) -> int:
         got = memo.get(r)
         if got is not None:
             return got
         k = (r & -r).bit_length() - 1
-        val = xi(r & (r - 1)) + z[k] * xi(r & ~nbr[k])
-        if len(memo) > STATE_CAP:
+        step = (k, state(r & (r - 1)), state(r & ~nbr[k]))
+        if len(steps) >= STATE_CAP:
             raise CapExceededError(f"independence recursion capped at {STATE_CAP} memo states")
-        memo[r] = val
-        return val
+        steps.append(step)
+        memo[r] = len(steps)
+        return len(steps)
 
-    return [xi(r) for r in regions]
+    return steps, [state(r) for r in regions]
+
+
+def _run_plan(plan: tuple[list, list], z: Sequence, one) -> list:
+    """Xi of each region of a ``_deletion_plan`` at the activities z (by
+    polymer index), with Xi(empty) = ``one``.  The values need only ``+``
+    and ``z_k * value``."""
+    steps, outs = plan
+    vals = [one]
+    for k, a, b in steps:
+        vals.append(vals[a] + z[k] * vals[b])
+    return [vals[i] for i in outs]
 
 
 def partition_function(sys: PolymerSystem, region: Iterable[Polymer] | None = None,
@@ -151,7 +167,7 @@ def partition_function(sys: PolymerSystem, region: Iterable[Polymer] | None = No
     acts = sys.activity if activities is None else activities
     mask = _region_mask(sys, region)
     z = [acts[g] if mask >> k & 1 else None for k, g in enumerate(sys.polymers)]
-    return _independence(sys, [mask], z, 1.0)[0]
+    return _run_plan(_deletion_plan(sys, [mask]), z, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +260,7 @@ def xi_polynomial(sys: PolymerSystem, region: Iterable[Polymer] | None = None) -
     if mask.bit_count() > POLYNOMIAL_CAP:
         raise CapExceededError(f"polynomial form capped at {POLYNOMIAL_CAP} polymers")
     z = [ActivityPolynomial.monomial([g], 1) for g in sys.polymers]
-    return _independence(sys, [mask], z, ActivityPolynomial.constant(1))[0]
+    return _run_plan(_deletion_plan(sys, [mask]), z, ActivityPolynomial.constant(1))[0]
 
 
 @lru_cache(maxsize=None)
@@ -378,7 +394,7 @@ def pinned_series(sys: PolymerSystem, gamma0: Polymer, order: int,
     one = Series((1,) + (0,) * order)  # an int activity c stands for the term c s
     full = _region_mask(sys, None)
     outside = full & ~_region_mask(sys, sys.neighborhood(gamma0))
-    den, num = _independence(sys, [full, outside], z, one)
+    den, num = _run_plan(_deletion_plan(sys, [full, outside]), z, one)
     partials, acc = [], 0
     for n, q in enumerate(num / den):  # den[0] = 1
         acc = acc * D + q  # the partial through order n, times D^n
@@ -406,17 +422,20 @@ def fixed_point_iterate(sys: PolymerSystem, rho: Mapping[Polymer, float] | float
     as a criterion violation.
     """
     rho_map = dict(rho) if isinstance(rho, Mapping) else {g: rho for g in sys.polymers}
+    for r in rho_map.values():
+        if not (r >= 0 and math.isfinite(r)):
+            raise ValueError(f"rho must be finite and nonnegative, got {r!r}")
+    if mu is not None:
+        CriterionInput(sys, mu)
     u = dict(rho_map)
     if k == 0:
         return FixedPointResult(u, 0, False, False, False)
-    exceeded = False
-    diverged = False
-    converged = False
+    plans = [_deletion_plan(sys, [m]) for m in sys._nbr_masks]
+    exceeded = diverged = converged = False
     for it in range(1, k + 1):
-        new = {}
-        for g in sys.polymers:
-            nbh = sys.neighborhood(g)
-            new[g] = rho_map[g] * abs(partition_function(sys, nbh, activities=u))
+        z = [u[g] for g in sys.polymers]
+        new = {g: rho_map[g] * abs(_run_plan(plan, z, 1.0)[0])
+               for g, plan in zip(sys.polymers, plans)}
         delta = max(abs(new[g] - u[g]) for g in sys.polymers)
         u = new
         if mu is not None and any(u[g] > mu[g] + 1e-15 for g in sys.polymers):
@@ -444,8 +463,8 @@ class CriterionInput:
 
     def __post_init__(self):
         for g in self.system.polymers:
-            if self.mu[g] <= 0:
-                raise ValueError("trial weights must be positive")
+            if not (self.mu[g] > 0 and math.isfinite(self.mu[g])):
+                raise ValueError(f"trial weights must be positive and finite, got {self.mu[g]!r}")
 
 
 @dataclass
@@ -464,63 +483,72 @@ def criteria(inp: CriterionInput) -> dict[Polymer, CriterionRadii]:
     (the strongest).  Pointwise r_fp >= r_dob >= r_kp.
     """
     sys = inp.system
-    return {
-        g: CriterionRadii(criterion_radius(sys, g, inp.mu, "kp"),
-                          criterion_radius(sys, g, inp.mu, "dob"),
-                          *_fp_radius(sys, g, inp.mu))
-        for g in sys.polymers
-    }
+    z = [inp.mu[g] for g in sys.polymers]
+    out = {}
+    for g in sys.polymers:
+        (kp, _), (dob, _), (fp, exact) = (_radius_rule(sys, g, w) for w in ("kp", "dob", "fp"))
+        out[g] = CriterionRadii(kp(z), dob(z), fp(z), exact)
+    return out
 
 
-def criterion_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float],
-                     which: str) -> float:
-    """One polymer's radius mu_g / phi(mu) for one condition: "kp"
-    (exponential), "dob" (product) or "fp" (neighborhood partition function,
-    bounded from above where the exact recursion refuses the neighborhood)."""
-    nbh = sys._nbr_order[g]
-    if which == "kp":
+def _radius_rule(sys: PolymerSystem, g: Polymer,
+                 which: str) -> tuple[Callable[[Sequence[float]], float], bool]:
+    """(radius, exact): radius(z) is polymer g's radius z_g / phi(z) for one
+    condition, "kp" (exponential), "dob" (product) or "fp" (neighborhood
+    partition function), z the trial weights by polymer index.  The fp plan
+    of the neighborhood is built here, once; where it passes a cap, phi is
+    bounded from above instead and exact is False."""
+    _known(sys, (g,))
+    i, nbh = sys._index[g], [sys._index[h] for h in sys._nbr_order[g]]
+    if which not in ("kp", "dob", "fp"):
+        raise ValueError(f"unknown criterion {which!r}; known: kp, dob, fp")
+    if which == "fp":
         try:
-            return mu[g] / math.exp(sum(mu[h] for h in nbh))
+            plan = _deletion_plan(sys, [sys._nbr_masks[i]])
+            return (lambda z: z[i] / abs(_run_plan(plan, z, 1.0)[0])), True
+        except CapExceededError:  # bound phi: binomially for vertex subsets, else by the product
+            if isinstance(g, frozenset):
+                covers = [[sys._index[h] for h in sys._nbr_order[g]
+                           if isinstance(h, frozenset) and x in h] for x in g]
+                return (lambda z: z[i] / (1.0 + max((sum(z[h] for h in hs) for hs in covers),
+                                                    default=0.0)) ** len(g)), False
+            return _radius_rule(sys, g, "dob")[0], False
+    if which == "dob":
+        def dob(z):
+            prod = 1.0
+            for h in nbh:
+                prod *= 1.0 + z[h]
+            return z[i] / prod
+        return dob, True
+
+    def kp(z):
+        try:
+            return z[i] / math.exp(sum(z[h] for h in nbh))
         except OverflowError:  # e^(sum mu) is past the largest float
             return 0.0
-    if which == "dob":
-        prod = 1.0
-        for h in nbh:
-            prod *= 1.0 + mu[h]
-        return mu[g] / prod
-    if which == "fp":
-        return _fp_radius(sys, g, mu)[0]
-    raise ValueError(f"unknown criterion {which!r}; known: kp, dob, fp")
+    return kp, True
 
 
-def _fp_radius(sys: PolymerSystem, g: Polymer, mu: Mapping[Polymer, float]) -> tuple[float, bool]:
-    """(fp radius, whether it used the exact neighborhood partition function)."""
-    nbh = sys._nbr_order[g]
-    try:
-        return mu[g] / abs(partition_function(sys, nbh, activities=mu)), True
-    except CapExceededError:
-        pass
-    # oversized neighborhood: bound its partition function from above, by the
-    # binomial bound when polymers are vertex subsets, the product bound otherwise
-    if not isinstance(g, frozenset):
-        return criterion_radius(sys, g, mu, "dob"), False
-    per_vertex = 0.0
-    for x in g:
-        per_vertex = max(per_vertex, sum(mu[h] for h in nbh if isinstance(h, frozenset) and x in h))
-    return mu[g] / (1.0 + per_vertex) ** len(g), False
+def constant_mu_rule(sys: PolymerSystem, polymer: Polymer,
+                     which: str) -> tuple[Callable[[float], float], bool]:
+    """(radius, exact): radius(mu) is the chosen radius of one polymer under
+    the constant trial weight mu, its neighborhood's plan built once; exact
+    is False where fp is only an upper bound on phi (see ``criteria``)."""
+    radius, exact = _radius_rule(sys, polymer, which)
+    n = len(sys.polymers)
+    return (lambda mu: radius([mu] * n)), exact
 
 
 def constant_mu_radius(sys: PolymerSystem, polymer: Polymer, which: str, mu: float) -> float:
     """The chosen radius of one polymer under the constant trial weight mu."""
-    inp = CriterionInput(sys, dict.fromkeys(sys.polymers, mu))
-    return criterion_radius(sys, polymer, inp.mu, which)
+    CriterionInput(sys, dict.fromkeys(sys.polymers, mu))
+    return constant_mu_rule(sys, polymer, which)[0](mu)
 
 
 def optimize_constant_mu(sys: PolymerSystem, polymer: Polymer, which: str) -> tuple[float, float]:
     """Golden-section maximisation of the chosen radius over a constant mu
     in [1e-6, 30], bracketed on a log grid first."""
-    return grid_max(lambda m: constant_mu_radius(sys, polymer, which, m),
-                    np.geomspace(1e-6, 30.0, 220))
+    return grid_max(constant_mu_rule(sys, polymer, which)[0], np.geomspace(1e-6, 30.0, 220))
 
 
 def regular_graph_thresholds(Delta: int) -> tuple[float, float, float]:
@@ -573,6 +601,8 @@ def domino_center(sys: PolymerSystem) -> Polymer:
 def delta_regular_system(Delta: int, rho: float = 1.0) -> PolymerSystem:
     """Star neighborhood of the tree-like worst case: a center polymer with
     Delta pairwise-compatible incompatible neighbors."""
+    if Delta < 0:
+        raise ValueError(f"need Delta >= 0, got {Delta}")
     polymers: dict = {"c": rho}
     pairs = []
     for k in range(Delta):

@@ -206,6 +206,17 @@ class TestPolymerCommand:
         assert code == 0
         assert data["kp"]["radius"] == pytest.approx(1 / (24 * math.e), rel=1e-8)
 
+    def test_fp_says_whether_it_is_exact(self, capsys):
+        code, data = run_json(capsys, ["polymer", "criteria", "--model", "domino"])
+        assert code == 0 and data["fp"]["exact"] is True
+        assert "exact" not in data["kp"] and "exact" not in data["dob"]
+        # 1001 polymers pass the region cap: fp is the product bound, equal to dob
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the product overflows on the mu grid
+            code, data = run_json(capsys, ["polymer", "criteria", "--model", "delta:1000"])
+        assert code == 0 and data["fp"]["exact"] is False
+        assert data["fp"]["radius"] == data["dob"]["radius"]
+
     def test_subset_check_exit_zero(self, capsys):
         code, data = run_json(capsys, ["polymer", "subset-check", "--vertices", "6",
                                        "--seed", "4"])
@@ -374,6 +385,8 @@ class TestHarness:
         (["hardsphere", "volume", "--n", "400", "--r", "10"], "past the float range"),
         (["mayer", "radii", "--beta", "inf"], "beta B = nan is not a finite float"),
         (["mayer", "ks", "--beta", "inf"], "beta B = nan is not a finite float"),
+        (["polymer", "criteria", "--model", "delta:-3"], "need Delta >= 0, got -3"),
+        (["polymer", "criteria", "--model", "delta:x"], "model 'delta:x' is not of the form"),
     ])
     def test_invalid_input_exit_2_one_line(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)

@@ -12,7 +12,7 @@ PACKAGE = Path(O.__file__).parent
 # the shared tables and kernels of the fast routes
 FAST_TABLES = {"tree_table", "connected_masks", "connected_bits", "_components", "_prufer_decode", "penrose_added",
                "tree_paths", "kruskal_added", "exact_fsum", "_phi_table", "_grand_partition",
-               "_independence", "_density_of_states", "Series"}
+               "_deletion_plan", "_run_plan", "_density_of_states", "Series"}
 
 
 def test_oracles_name_no_fast_table():

@@ -358,6 +358,25 @@ class TestDeletionRecursion:
         got = PL.pinned_series(s, PL.domino_center(s), 8, rho).partials
         assert [float.hex(p) for p in got] == want
 
+    def test_pinned_order_sixteen_bit_for_bit(self):
+        # recorded before the recursion became a plan built once and run per value type
+        s = PL.domino_system(5, 5)
+        assert PL.pinned_series(s, PL.domino_center(s), 16, 0.05).partials == [
+            1.0, 1.35, 1.4875, 1.544125, 1.56808125, 1.57840625, 1.582918203125,
+            1.5849109515625, 1.5857983765234376, 1.5861961375820313, 1.5863753301131835,
+            1.5864563800594726, 1.5864931549325032, 1.5865098822101407, 1.5865175055829783,
+            1.5865209852502857, 1.5865225754657444]
+
+    def test_one_plan_serves_many_activity_maps(self):
+        rng = random.Random(41)
+        s = random_system(rng, 10, p=0.35)
+        plan = PL._deletion_plan(s, [(1 << len(s.polymers)) - 1])
+        for _ in range(3):
+            acts = {g: rng.uniform(0.05, 0.9) for g in s.polymers}
+            got = PL._run_plan(plan, [acts[g] for g in s.polymers], 1.0)[0]
+            assert got == PL.partition_function(s, activities=acts)  # bit for bit
+            assert got == pytest.approx(brute_force_xi(s, acts), rel=1e-12)
+
     def test_pinned_exact_fraction_activities(self):
         # denominators 3, 5 and 7: the common denominator is their lcm, not
         # any one of them
@@ -463,6 +482,36 @@ class TestFixedPoint:
         fp = PL.fixed_point_iterate(s, 0.2, 400)
         assert fp.diverged
 
+    def test_domino_values_bit_for_bit(self):
+        # recorded before the neighborhood plans were built once per iteration run
+        s = PL.domino_system(5, 5)
+        fp = PL.fixed_point_iterate(s, 0.05, 400)
+        assert (fp.iterations, fp.converged) == (25, True)
+        assert list(fp.values) == list(s.polymers)
+        assert list(fp.values.values()) == [
+            0.06394155280021475, 0.06394155280021475, 0.06840030930450233, 0.07347585861788859,
+            0.06840030930450233, 0.07419331001305143, 0.06394155280021474, 0.0734758586178886,
+            0.06394155280021475, 0.07347585861788859, 0.06840030930450233, 0.07970192885701952,
+            0.0797019288570195, 0.07970192885701953, 0.08063143710850659, 0.0734758586178886,
+            0.07970192885701952, 0.06840030930450233, 0.07419331001305143, 0.06840030930450233,
+            0.08063143710850658, 0.07970192885701954, 0.08063143710850657, 0.08063143710850658,
+            0.07419331001305142, 0.07970192885701954, 0.06840030930450233, 0.07347585861788859,
+            0.06394155280021474, 0.07970192885701953, 0.07347585861788859, 0.07970192885701954,
+            0.07419331001305142, 0.07347585861788859, 0.07347585861788859, 0.06394155280021474,
+            0.06394155280021475, 0.06840030930450233, 0.06840030930450232, 0.06394155280021475]
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -0.1, {"g": math.nan}])
+    def test_refuses_rho_that_is_no_activity(self, rho):
+        s = PL.PolymerSystem({"g": 1.0}, [])
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            PL.fixed_point_iterate(s, rho, 5)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+    def test_refuses_mu_that_is_no_trial_weight(self, mu):
+        s = PL.PolymerSystem({"g": 1.0}, [])
+        with pytest.raises(ValueError, match="trial weights must be positive and finite"):
+            PL.fixed_point_iterate(s, 0.2, 5, mu={"g": mu})
+
     def test_mu_violation_flag(self):
         # rho = 0.6 sits above the radius mu/(1+mu) = 1/2, so the iterates
         # climb past mu = 1
@@ -527,12 +576,16 @@ class TestCriteria:
     def test_fp_falls_back_where_the_recursion_refuses(self, monkeypatch):
         s = PL.delta_regular_system(30)
         mu = {g: 0.05 for g in s.polymers}
+        assert PL.constant_mu_rule(s, "c", "fp")[1]
         monkeypatch.setattr(PL, "VOLUME_CAP", 30)
         full = PL.criteria(PL.CriterionInput(s, mu))
         centre, leaf = full["c"], next(r for g, r in full.items() if g != "c")
         assert not centre.fp_exact and leaf.fp_exact
         assert centre.r_fp == pytest.approx(0.05 / 1.05**31, rel=1e-12)  # the product bound
         assert PL.constant_mu_radius(s, "c", "fp", 0.05) == centre.r_fp
+        radius, exact = PL.constant_mu_rule(s, "c", "fp")
+        assert not exact and radius(0.05) == centre.r_fp
+        assert all(PL.constant_mu_rule(s, "c", which)[1] for which in ("kp", "dob"))
 
     def test_one_polymer_radius_refusals(self):
         s = PL.triangular_window(1)
@@ -540,6 +593,44 @@ class TestCriteria:
             PL.constant_mu_radius(s, (0, 0), "shearer", 0.1)
         with pytest.raises(ValueError, match="positive"):
             PL.constant_mu_radius(s, (0, 0), "kp", 0.0)
+        with pytest.raises(ValueError, match="not in the system"):
+            PL.constant_mu_radius(s, (9, 9), "kp", 0.1)
+
+    @pytest.mark.parametrize("which", ["kp", "dob", "fp"])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0])
+    def test_refuses_trial_weight_that_is_not_finite_and_positive(self, which, mu):
+        s = PL.triangular_window(1)
+        with pytest.raises(ValueError, match="trial weights must be positive and finite"):
+            PL.constant_mu_radius(s, (0, 0), which, mu)
+        with pytest.raises(ValueError, match="trial weights must be positive and finite"):
+            PL.criteria(PL.CriterionInput(s, dict.fromkeys(s.polymers, mu)))
+
+    @pytest.mark.parametrize("model,polymer,which,want", [
+        ("domino", None, "kp", (0.14285714481397926, 0.05255420588163461)),
+        ("domino", None, "dob", (0.16666666558687138, 0.05665277951485228)),
+        ("domino", None, "fp", (0.33333333239858953, 0.07692307692307693)),
+        ("triangular", (0, 0), "fp", (0.3123562938056246, 0.07571276881904687)),
+        ("star6", "c", "kp", (0.14285714481397926, 0.05255420588163461)),
+        ("star6", "c", "fp", (0.20000000360305456, 0.06277495429983326)),
+        ("star23", "c", "kp", (0.04166666654757872, 0.015328310048810108)),
+        ("star23", "c", "fp", (0.04545454498736326, 0.016088471988539035)),
+        ("star40", "c", "kp", (0.02439024331159689, 0.008972669296864444)),
+        ("star40", "c", "fp", (0.02564102532871338, 0.009227708635020706)),
+    ])
+    def test_optimum_bit_for_bit(self, model, polymer, which, want):
+        # (mu*, radius) recorded before the radii ran on a plan built once per optimisation
+        s = {"domino": lambda: PL.domino_system(5, 5),
+             "triangular": lambda: PL.triangular_window(2),
+             "star6": lambda: PL.delta_regular_system(6),
+             "star23": lambda: PL.delta_regular_system(23),
+             "star40": lambda: PL.delta_regular_system(40)}[model]()
+        got = PL.optimize_constant_mu(s, polymer or PL.domino_center(s), which)
+        assert tuple(map(float, got)) == want
+
+    def test_star_needs_a_nonnegative_degree(self):
+        assert len(PL.delta_regular_system(0)) == 1
+        with pytest.raises(ValueError, match="need Delta >= 0, got -3"):
+            PL.delta_regular_system(-3)
 
     def test_regular_graph_closed_forms(self):
         assert PL.regular_graph_thresholds(2)[0] == pytest.approx(1 / (3 * math.e), abs=1e-15)
